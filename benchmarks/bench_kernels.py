@@ -101,18 +101,17 @@ def test_distributed_negotiation(benchmark, network):
 
 
 # ----------------------------------------------------------------------
-# Fast-path kernels: sparse policy matrices vs the dense reference, the
-# lazy partition sweep, and the incremental per-arrival constructors.
+# Fast-path kernels: the column-compressed gain/apply kernels, the
+# TabularGreedy sweep, and the incremental per-arrival constructors.
 # ----------------------------------------------------------------------
 def _first_partition(network):
     i = next(i for i in range(network.n) if network.policy_count(i) > 1)
     return i, int(network.relevant_slots(i)[0])
 
 
-@pytest.mark.parametrize("use_sparse", [False, True], ids=["dense", "sparse"])
-def test_gain_kernel(benchmark, network, use_sparse):
-    """Column-compressed gain scan vs the dense full-width reference."""
-    obj = HasteObjective(network, use_sparse=use_sparse)
+def test_gain_kernel(benchmark, network):
+    """Column-compressed gain scan on matched sample rows."""
+    obj = HasteObjective(network)
     energies = obj.zero_energy((24,))
     i, k = _first_partition(network)
     rows = np.arange(0, 24, 3)
@@ -121,10 +120,9 @@ def test_gain_kernel(benchmark, network, use_sparse):
     assert gains.shape == (rows.size, network.policy_count(i))
 
 
-@pytest.mark.parametrize("use_sparse", [False, True], ids=["dense", "sparse"])
-def test_apply_kernel(benchmark, network, use_sparse):
+def test_apply_kernel(benchmark, network):
     """In-place policy application on matched sample rows."""
-    obj = HasteObjective(network, use_sparse=use_sparse)
+    obj = HasteObjective(network)
     energies = obj.zero_energy((24,))
     i, k = _first_partition(network)
     rows = np.arange(0, 24, 3)
@@ -135,25 +133,21 @@ def test_apply_kernel(benchmark, network, use_sparse):
     assert energies.sum() > 0
 
 
-@pytest.mark.parametrize("use_sparse", [False, True], ids=["dense", "sparse"])
-def test_energies_of_schedule(benchmark, network, use_sparse):
+def test_energies_of_schedule(benchmark, network):
     """Whole-schedule energy accumulation via the sparse column kernels."""
     res = schedule_offline(network, 1, rng=np.random.default_rng(7))
-    obj = HasteObjective(network, use_sparse=use_sparse)
+    obj = HasteObjective(network)
 
     energies = benchmark(obj.energies_of_schedule, res.schedule)
     assert energies.shape == (network.m,)
 
 
-@pytest.mark.parametrize("lazy", [False, True], ids=["eager", "lazy"])
-def test_centralized_sweep(benchmark, network, lazy):
-    """Full C=4 TabularGreedy sweep: lazy dirty-aware vs eager reference."""
+def test_centralized_sweep(benchmark, network):
+    """Full C=4 TabularGreedy sweep on a warm scheduler."""
     scheduler = CentralizedScheduler(network)
 
     res = benchmark.pedantic(
-        lambda: scheduler.run(
-            4, num_samples=16, rng=np.random.default_rng(8), lazy=lazy
-        ),
+        lambda: scheduler.run(4, num_samples=16, rng=np.random.default_rng(8)),
         rounds=1,
         iterations=1,
     )

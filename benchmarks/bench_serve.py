@@ -61,8 +61,8 @@ def prepare_phase(instance, config, repeats: int) -> dict:
 
     def warm_up(prepared):
         _ = prepared.network
-        prepared.objective(use_sparse=True)
-        prepared.scheduler(use_sparse=True)
+        prepared.objective()
+        prepared.scheduler()
         return prepared
 
     cold, warm = [], []

@@ -19,10 +19,10 @@ modes are combined:
   Before/after repeats are interleaved in time so slow drift of the host
   (thermal, co-tenants) hits both sides equally, and the median repeat is
   reported.
-* **flags-reference** — in-process micro-kernels where the dense/eager
-  reference is still available behind flags (``use_sparse=False``,
-  ``lazy=False``).  Both sides run in this interpreter, interleaved, and
-  medians are reported.
+* **flags-reference** — in-process micro-kernels against the plain
+  construction they replace: the online runtime's per-arrival masked
+  view against building a fresh masked objective.  Both sides run in
+  this interpreter, interleaved, and medians are reported.
 
 Usage::
 
@@ -36,8 +36,10 @@ Usage::
     PYTHONPATH=src python benchmarks/run_benchmarks.py --batch    # BENCH_batch.json
 
 The default output path is ``BENCH_kernels.json`` next to the repo root;
-``--skip-seed`` falls back to flags-reference for the end-to-end rows
-(e.g. when the git history is unavailable).
+``--skip-seed`` leaves out the seed-git end-to-end rows (e.g. when the
+git history is unavailable).  The committed ``BENCH_kernels.json`` also
+holds rows this script no longer measures (the dense-vs-sparse gain
+kernel and the lazy-vs-eager sweep): both reference paths are gone.
 
 ``--obs`` measures the observability layer instead (→ ``BENCH_obs.json``):
 the **disabled** instrumentation path against the pre-instrumentation
@@ -240,10 +242,9 @@ def interleaved_inprocess_op(
 
 
 def micro_benchmarks(scale: str) -> list[dict]:
-    """In-process micro-kernels: dense/eager reference vs fast path."""
+    """In-process micro-kernels: plain construction vs fast path."""
     import numpy as np
     from repro.objective import HasteObjective
-    from repro.offline import CentralizedScheduler, schedule_offline
     from repro.sim import SimulationConfig, sample_network
 
     cfg = (getattr(SimulationConfig, scale)() if scale != "default"
@@ -251,58 +252,16 @@ def micro_benchmarks(scale: str) -> list[dict]:
     net = sample_network(cfg, np.random.default_rng(7))
     instance = {"n": net.n, "m": net.m, "K": net.num_slots,
                 "C": cfg.num_colors, "S": cfg.num_samples}
-    S = cfg.num_samples
-    dense = HasteObjective(net, use_sparse=False)
-    sparse = HasteObjective(net, use_sparse=True)
-    i = next(i for i in range(net.n) if net.policy_count(i) > 1)
-    k = int(net.relevant_slots(i)[0])
-    rows = np.arange(0, S, 3)
-    e_dense = dense.zero_energy((S,))
-    e_sparse = sparse.zero_energy((S,))
-    results = [
-        interleaved_inprocess_op(
-            op="gain_kernel",
-            before_fn=lambda: dense.partition_gains_rows(e_dense, rows, i, k),
-            after_fn=lambda: sparse.partition_gains_rows(e_sparse, rows, i, k),
-            instance=instance, inner=50,
-        )
-    ]
-
-    sched = schedule_offline(net, 1, rng=np.random.default_rng(3)).schedule
-    results.append(
-        interleaved_inprocess_op(
-            op="energies_of_schedule",
-            before_fn=lambda: dense.energies_of_schedule(sched),
-            after_fn=lambda: sparse.energies_of_schedule(sched),
-            instance=instance, inner=5,
-        )
-    )
-
     known = net.release_slots <= int(np.median(net.release_slots))
     base = HasteObjective(net)
-    results.append(
+    return [
         interleaved_inprocess_op(
             op="per_arrival_objective",
             before_fn=lambda: HasteObjective(net, task_mask=known),
             after_fn=lambda: base.masked_view(known),
             instance=instance, inner=5,
         )
-    )
-
-    scheduler = CentralizedScheduler(net)
-    results.append(
-        interleaved_inprocess_op(
-            op="sweep_lazy_vs_eager",
-            before_fn=lambda: scheduler.run(
-                cfg.num_colors, num_samples=S,
-                rng=np.random.default_rng(5), lazy=False),
-            after_fn=lambda: scheduler.run(
-                cfg.num_colors, num_samples=S,
-                rng=np.random.default_rng(5), lazy=True),
-            instance=instance, repeats=3 if scale == "paper" else 5,
-        )
-    )
-    return results
+    ]
 
 
 def obs_enabled_micro(scale: str) -> list[dict]:

@@ -32,29 +32,18 @@ __all__ = ["WorkCounts", "count_offline_work"]
 class WorkCounts:
     """Deterministic work accounting of one centralized run.
 
-    ``scans`` counts partition visits with matching samples (the eager
-    algorithm's work unit, what Thm 5.1 bounds); the lazy-sweep split of
-    those visits is ``fresh_scans`` (gain kernel actually ran) vs
-    ``cached_reuses`` + ``pruned_skips`` (answered from the dirty-aware
-    cache — see :mod:`repro.offline.lazy`).
+    ``scans`` counts partition visits with matching samples (the
+    algorithm's work unit, what Thm 5.1 bounds).
     """
 
     partitions: int
     scans: int
     candidates: int
     colors: int
-    fresh_scans: int = 0
-    cached_reuses: int = 0
-    pruned_skips: int = 0
 
     @property
     def scans_per_color(self) -> float:
         return self.scans / max(self.colors, 1)
-
-    @property
-    def reuse_fraction(self) -> float:
-        """Fraction of visits the lazy sweep answered without a kernel run."""
-        return (self.cached_reuses + self.pruned_skips) / max(self.scans, 1)
 
 
 def count_offline_work(
@@ -89,7 +78,4 @@ def count_offline_work(
         scans=result.candidate_scans,
         candidates=int(round(result.candidate_scans * avg_policies)),
         colors=num_colors,
-        fresh_scans=result.fresh_scans,
-        cached_reuses=result.cached_reuses,
-        pruned_skips=result.pruned_skips,
     )

@@ -533,6 +533,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from . import obs
     from .faults import parse_process_faults
     from .serve import ScheduleEngine, ServeDaemon
+    from .serve.daemon import configure_telemetry
     from .solvers import get_solver
 
     if not (0 <= args.port <= 65535):
@@ -560,7 +561,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     owns_obs = not args.no_telemetry and not obs.enabled()
     if owns_obs:
-        obs.configure()
+        configure_telemetry()
     engine = ScheduleEngine(
         workers=args.workers,
         queue_limit=args.queue_limit,

@@ -18,7 +18,9 @@ extension experiments.
 
 Implementations must be vectorized: ``__call__`` accepts arrays of energies
 and broadcasts.  The scheduling hot path calls ``gain(current, added)``
-(= ``U(current+added) − U(current)``) on ``(policies × tasks)`` blocks.
+(= ``U(current+added) − U(current)``) on ``(policies × tasks)`` blocks,
+each over one charger's receivable tasks, so every utility also implements
+``restrict(cols)`` — the same utility over a task subset.
 """
 
 from __future__ import annotations
@@ -57,29 +59,15 @@ class UtilityFunction(ABC):
             current
         )
 
-    def restrict(self, cols) -> "UtilityFunction | None":
-        """A utility over the task subset ``cols``, or ``None`` if unsupported.
+    @abstractmethod
+    def restrict(self, cols) -> "UtilityFunction":
+        """The same utility over the task subset ``cols``.
 
-        The sparse scheduling kernels evaluate marginal gains only on the
-        columns a charger can reach; a restricted utility must therefore
-        accept energy vectors of length ``len(cols)`` and evaluate exactly
-        like the full utility does on those columns.  The default returns
-        ``None``, which makes callers fall back to the dense full-width
-        kernels — custom utilities stay correct without any extra work.
+        The scheduling kernels evaluate marginal gains only on the columns
+        a charger can reach, so the restricted utility must accept energy
+        vectors of length ``len(cols)`` and evaluate exactly like the full
+        utility does on those columns.
         """
-        return None
-
-    def saturation_energies(self):
-        """Per-task energy beyond which the marginal gain is *exactly* zero.
-
-        Returns an array broadcastable against a task-energy vector, or
-        ``None`` when the utility has no hard saturation point (then no
-        exact-zero pruning is possible).  The lazy partition sweep uses this
-        to skip visits whose reachable tasks are all saturated — the gain of
-        every candidate policy is exactly ``0.0`` there, so the skip cannot
-        change the schedule.
-        """
-        return None
 
     def is_concave_on(self, grid) -> bool:
         """Empirical concavity check on a grid — used by property tests."""
@@ -125,9 +113,6 @@ class LinearBoundedUtility(UtilityFunction):
         if self.required_energy.size == 1:
             return type(self)(self.required_energy)
         return type(self)(self.required_energy[np.asarray(cols, dtype=int)])
-
-    def saturation_energies(self):
-        return self.required_energy
 
 
 class LogUtility(UtilityFunction):
@@ -187,6 +172,3 @@ class PowerLawUtility(UtilityFunction):
         return type(self)(
             self.required_energy[np.asarray(cols, dtype=int)], gamma=self.gamma
         )
-
-    def saturation_energies(self):
-        return self.required_energy

@@ -16,17 +16,16 @@ a running per-task energy vector — this is the vectorization boundary
 recommended by the performance guides (one numpy call per partition, not
 per candidate).
 
-**Sparse fast path.**  Charger ``i`` can only ever charge its receivable
-tasks ``T_i`` with ``|T_i| ≪ m``, so by default every kernel operates on
+**Column-compressed kernels.**  Charger ``i`` can only ever charge its
+receivable tasks ``T_i`` with ``|T_i| ≪ m``, so every kernel operates on
 the network's column-compressed policy arrays
 (:attr:`~repro.core.network.ChargerNetwork.policy_tasks` /
-``sparse_power``): gains, applies, and whole-schedule accumulation touch
-only the ``|T_i|`` receivable columns and never allocate a ``(P_i, m)``
-temporary.  ``use_sparse=False`` keeps the original dense full-width
-kernels as the bit-exactness reference; the equivalence tests pin the two
-paths against each other.  Custom utilities that cannot be column-restricted
-(no :meth:`~repro.core.utility.UtilityFunction.restrict` support) fall back
-to the dense path automatically.
+``sparse_power``) and the utility restricted to those columns
+(:meth:`~repro.core.utility.UtilityFunction.restrict`): gains, applies,
+and whole-schedule accumulation touch only the ``|T_i|`` receivable
+columns and never allocate a ``(P_i, m)`` temporary.  The dense full-width
+formulation lives in ``tests/oracles/`` as the reference the equivalence
+tests compare against.
 
 Energy *state* is just an ``(…, m)`` float array, so the TabularGreedy
 Monte Carlo path keeps an ``(S, m)`` matrix — one energy row per color
@@ -79,11 +78,6 @@ class HasteObjective:
         Boolean ``(m,)`` knowledge mask; masked-out tasks contribute no
         activity and no utility (the online runtime plans against only the
         already-released tasks this way).
-    use_sparse:
-        Route the hot-path kernels through the column-compressed policy
-        arrays (default).  ``False`` selects the original dense full-width
-        kernels — kept as the reference implementation the equivalence
-        tests compare against.
     """
 
     def __init__(
@@ -92,39 +86,27 @@ class HasteObjective:
         utility: UtilityFunction | None = None,
         *,
         task_mask: np.ndarray | None = None,
-        use_sparse: bool = True,
     ) -> None:
         self.network = network
         self.utility = utility if utility is not None else network.utility
         if self.utility is None:
             raise ValueError("network has no tasks / utility function")
         self.weights = network.weights
-        # Energy added per slot by each policy — shared, cached on the
-        # network (read-only): (P_i, m) dense and (P_i, |T_i|) sparse.
-        self.policy_energy = network.dense_policy_energy()
         self.active = network.active  # (m, K) bool
-        self._cols = network.policy_tasks  # per charger (|T_i|,) int
+        # Per charger: receivable task columns, the (P_i, |T_i|) energy
+        # each policy adds per slot (shared, cached on the network,
+        # read-only), and the utility restricted to those columns.
+        self._cols = network.policy_tasks
         self._sparse_energy = network.sparse_policy_energy()
-        self._util_cols: list[UtilityFunction] | None = None
-        if use_sparse:
-            restricted = [self.utility.restrict(cols) for cols in self._cols]
-            if all(u is not None for u in restricted):
-                self._util_cols = restricted
-        self.use_sparse = self._util_cols is not None
+        self._util_cols = [self.utility.restrict(cols) for cols in self._cols]
         # For the paper's linear-bounded utility the gain formula is inlined
         # in the hot kernel (same ufunc sequence, so bit-identical — just
         # without the per-call dispatch); other utilities go through
         # ``UtilityFunction.gain``.
-        self._util_E = (
-            [
-                u.required_energy
-                if type(u) is LinearBoundedUtility
-                else None
-                for u in self._util_cols
-            ]
-            if self.use_sparse
-            else None
-        )
+        self._util_E = [
+            u.required_energy if type(u) is LinearBoundedUtility else None
+            for u in self._util_cols
+        ]
         if task_mask is not None:
             mask = np.asarray(task_mask, dtype=bool)
             if mask.shape != (network.m,):
@@ -136,20 +118,10 @@ class HasteObjective:
             # uses this to plan against only the already-released tasks.
             self.active = self.active & mask[:, None]
             self.weights = np.where(mask, self.weights, 0.0)
-            self._active_sub = (
-                [self.active[cols] for cols in self._cols]
-                if self.use_sparse
-                else None
-            )
+            self._active_sub = [self.active[cols] for cols in self._cols]
         else:
-            self._active_sub = (
-                network.active_by_charger() if self.use_sparse else None
-            )
-        self._w_cols = (
-            [self.weights[cols] for cols in self._cols]
-            if self.use_sparse
-            else None
-        )
+            self._active_sub = network.active_by_charger()
+        self._w_cols = [self.weights[cols] for cols in self._cols]
         # Per-partition (charger, slot) → (P_i, |T_i|) slot-energy block.
         # The block depends only on static data (sparse power × activity
         # column), so it is computed once per objective and reused by every
@@ -174,20 +146,14 @@ class HasteObjective:
         dup = object.__new__(HasteObjective)
         dup.network = net
         dup.utility = self.utility
-        dup.policy_energy = self.policy_energy
         dup._cols = self._cols
         dup._sparse_energy = self._sparse_energy
         dup._util_cols = self._util_cols
         dup._util_E = self._util_E
-        dup.use_sparse = self.use_sparse
         dup.active = net.active & mask[:, None]
         dup.weights = np.where(mask, net.weights, 0.0)
-        dup._active_sub = (
-            [dup.active[cols] for cols in dup._cols] if dup.use_sparse else None
-        )
-        dup._w_cols = (
-            [dup.weights[cols] for cols in dup._cols] if dup.use_sparse else None
-        )
+        dup._active_sub = [dup.active[cols] for cols in dup._cols]
+        dup._w_cols = [dup.weights[cols] for cols in dup._cols]
         # Activity (and therefore the slot-energy blocks) differs under the
         # mask — the view gets fresh caches, not the parent's.
         dup._add_cache = {}
@@ -223,11 +189,12 @@ class HasteObjective:
         Zero for tasks inactive at ``slot`` — the inner sum of RP1 runs only
         over slots inside each task's window.  ``active_override`` replaces
         the slot's activity column (the online baselines use it to model
-        their τ-delayed knowledge of arrivals).  Dense by construction; the
-        hot paths use :meth:`added_energy_cols` instead.
+        their τ-delayed knowledge of arrivals).  Dense by construction, for
+        the MILP and the baselines; the hot paths use
+        :meth:`added_energy_cols` instead.
         """
         col = self.active[:, slot] if active_override is None else active_override
-        return self.policy_energy[charger] * col[None, :]
+        return self.network.dense_policy_energy()[charger] * col[None, :]
 
     def added_energy_cols(self, charger: int, slot: int) -> np.ndarray:
         """Sparse slot energy ``(P_i, |T_i|)`` over the receivable columns.
@@ -248,19 +215,15 @@ class HasteObjective:
     def changed_tasks(self, charger: int, slot: int, policy: int) -> np.ndarray:
         """Network-level indices of tasks whose energy ``policy`` changes.
 
-        The lazy partition sweep marks exactly these dirty after a commit.
-        Cached per ``(charger, slot, policy)`` — static data.
+        The online negotiation re-evaluates only the proposals whose
+        receivable tasks a commit changed.  Cached per
+        ``(charger, slot, policy)`` — static data.
         """
         key = (charger, slot, policy)
         changed = self._changed_cache.get(key)
         if changed is None:
-            if self.use_sparse:
-                add = self.added_energy_cols(charger, slot)[policy]
-                changed = self._cols[charger][add > 0.0]
-            else:
-                changed = np.flatnonzero(
-                    self.added_energy(charger, slot)[policy] > 0.0
-                )
+            add = self.added_energy_cols(charger, slot)[policy]
+            changed = self._cols[charger][add > 0.0]
             self._changed_cache[key] = changed
         return changed
 
@@ -270,15 +233,10 @@ class HasteObjective:
         Mirrors :meth:`ChargerNetwork.relevant_slots` but honours this
         objective's task mask.
         """
-        if self.use_sparse:
-            sub = self._active_sub[charger]
-            if sub.size == 0:
-                return np.zeros(0, dtype=int)
-            return np.flatnonzero(sub.any(axis=0))
-        mask = self.network.receivable[charger]
-        if not mask.any() or self.network.num_slots == 0:
+        sub = self._active_sub[charger]
+        if sub.size == 0:
             return np.zeros(0, dtype=int)
-        return np.flatnonzero(self.active[mask].any(axis=0))
+        return np.flatnonzero(sub.any(axis=0))
 
     def partition_gains(self, energies: np.ndarray, charger: int, slot: int) -> np.ndarray:
         """Weighted marginal gain of every policy of one partition.
@@ -287,16 +245,8 @@ class HasteObjective:
         per Monte Carlo color sample); the result is ``(P_i,)`` or
         ``(S, P_i)`` respectively.  Row 0 (idle) is always 0.
         """
-        if self.use_sparse:
-            cur = np.asarray(energies, dtype=float)[..., self._cols[charger]]
-            return self._gains_cols(cur, charger, slot)
-        add = self.added_energy(charger, slot)  # (P, m)
-        cur = np.asarray(energies, dtype=float)
-        if cur.ndim == 1:
-            gains = self.utility.gain(cur[None, :], add)  # (P, m)
-            return gains @ self.weights
-        gains = self.utility.gain(cur[:, None, :], add[None, :, :])  # (S, P, m)
-        return gains @ self.weights
+        cur = np.asarray(energies, dtype=float)[..., self._cols[charger]]
+        return self._gains_cols(cur, charger, slot)
 
     def partition_gains_rows(
         self, energies: np.ndarray, rows: np.ndarray, charger: int, slot: int
@@ -307,13 +257,10 @@ class HasteObjective:
         depends on instead of materializing the full ``(len(rows), m)``
         fancy-index copy the caller would otherwise pay for.
         """
-        if self.use_sparse:
-            # rows[:, None] × cols broadcast like np.ix_ but skip its
-            # per-call dtype plumbing — this gather runs ~80k times per
-            # paper-scale run.
-            cur = energies[np.asarray(rows)[:, None], self._cols[charger]]
-            return self._gains_cols(cur, charger, slot)
-        return self.partition_gains(energies[rows], charger, slot)
+        # rows[:, None] × cols broadcast like np.ix_ but skip its per-call
+        # dtype plumbing — this gather runs ~80k times per paper-scale run.
+        cur = energies[np.asarray(rows)[:, None], self._cols[charger]]
+        return self._gains_cols(cur, charger, slot)
 
     def _gains_cols(self, cur: np.ndarray, charger: int, slot: int) -> np.ndarray:
         """Gain kernel on column-compressed current energies ``(…, |T_i|)``."""
@@ -339,23 +286,17 @@ class HasteObjective:
         For an ``(S, m)`` state pass ``energies[rows]``-style views... —
         numpy fancy indexing copies, so instead use :meth:`apply_rows`.
         """
-        if self.use_sparse:
-            energies[..., self._cols[charger]] += self.added_energy_cols(
-                charger, slot
-            )[policy]
-            return
-        energies += self.added_energy(charger, slot)[policy]
+        energies[..., self._cols[charger]] += self.added_energy_cols(
+            charger, slot
+        )[policy]
 
     def apply_rows(
         self, energies: np.ndarray, rows: np.ndarray, charger: int, slot: int, policy: int
     ) -> None:
         """Add a policy's slot energy to selected sample rows of ``(S, m)``."""
-        if self.use_sparse:
-            energies[
-                np.asarray(rows)[:, None], self._cols[charger]
-            ] += self.added_energy_cols(charger, slot)[policy][None, :]
-            return
-        energies[rows] += self.added_energy(charger, slot)[policy][None, :]
+        energies[
+            np.asarray(rows)[:, None], self._cols[charger]
+        ] += self.added_energy_cols(charger, slot)[policy][None, :]
 
     # ------------------------------------------------------------------
     # Whole-schedule evaluation (no switching delay — HASTE-R)
@@ -375,16 +316,11 @@ class HasteObjective:
         energies = self.zero_energy()
         for i in range(net.n):
             sel = schedule.sel[i]
-            nonidle = np.flatnonzero(sel[start:stop]) + start
-            if self.use_sparse:
-                cols = self._cols[i]
-                if cols.size == 0:
-                    continue
-                for k in nonidle:
-                    energies[cols] += self.added_energy_cols(i, int(k))[sel[k]]
-            else:
-                for k in nonidle:
-                    energies += self.added_energy(i, int(k))[sel[k]]
+            cols = self._cols[i]
+            if cols.size == 0:
+                continue
+            for k in np.flatnonzero(sel[start:stop]) + start:
+                energies[cols] += self.added_energy_cols(i, int(k))[sel[k]]
         return energies
 
     def value_of_schedule(self, schedule: Schedule) -> float:
@@ -445,8 +381,6 @@ class BatchedCharger:
         utils: list[UtilityFunction] = []
         shapes: list[tuple[int, int, int]] = []
         for obj, i in self.members:
-            if not obj.use_sparse:
-                raise ValueError("BatchedCharger requires sparse-path objectives")
             se = obj._sparse_energy[i]
             if se.shape[0] < 2 or se.shape[1] == 0:
                 raise ValueError(

@@ -29,9 +29,8 @@ profile <exp>`` set the same machinery up per invocation).
 
 Instrumented surfaces
 ---------------------
-* ``offline.run`` spans + ``offline.*`` counters — Algorithm 2 rounds,
-  gain evaluations, and the lazy sweep's fresh/cached/pruned split
-  (:mod:`repro.offline.centralized`, :mod:`repro.offline.lazy`);
+* ``offline.run`` spans + ``offline.*`` counters — Algorithm 2 runs,
+  partitions and candidate scans (:mod:`repro.offline.centralized`);
 * ``online.run`` / ``online.arrival`` spans (per-arrival negotiation
   latency histogram) and ``negotiation.*`` counters — messages, rounds,
   broadcasts, commits, proposal-cache hit rates, exactly the
@@ -63,7 +62,7 @@ import threading
 import warnings
 
 from .registry import Counter, Gauge, Histogram, MetricRegistry
-from .sinks import JsonlSink, MemorySink, Sink
+from .sinks import JsonlSink, MemorySink, RingSink, Sink
 from .summary import format_span_tree, format_summary
 from .windows import ReservoirSample, WindowedHistogram
 
@@ -75,6 +74,7 @@ __all__ = [
     "MemorySink",
     "MetricRegistry",
     "ReservoirSample",
+    "RingSink",
     "Sink",
     "WindowedHistogram",
     "configure",

@@ -5,6 +5,8 @@ A sink receives one dict per closed span and per event, plus the final
 
 * :class:`MemorySink` — keeps records in a list; the default when
   tracing is enabled without a file (``repro-haste profile``, tests).
+* :class:`RingSink` — a :class:`MemorySink` that keeps only the newest
+  records, for long-lived processes (the ``repro-haste serve`` daemon).
 * :class:`JsonlSink` — appends one JSON object per line to a file, the
   ``repro-haste run … --trace out.jsonl`` / ``REPRO_TRACE=out.jsonl``
   format; the summary's counters let post-hoc analysis cross-check the
@@ -20,9 +22,10 @@ from __future__ import annotations
 
 import json
 import threading
+from collections import deque
 from pathlib import Path
 
-__all__ = ["Sink", "MemorySink", "JsonlSink"]
+__all__ = ["Sink", "MemorySink", "RingSink", "JsonlSink"]
 
 
 class Sink:
@@ -45,6 +48,19 @@ class MemorySink(Sink):
     def emit(self, record: dict) -> None:
         with self._lock:
             self.records.append(record)
+
+
+class RingSink(MemorySink):
+    """A :class:`MemorySink` holding only the newest ``capacity`` records.
+
+    ``records`` is a bounded :class:`~collections.deque`: older records are
+    dropped as new ones arrive, so memory stays bounded however long the
+    process runs.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        super().__init__()
+        self.records = deque(maxlen=capacity)
 
 
 def _coerce(obj):

@@ -39,7 +39,7 @@ from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
 from ..objective.haste import BatchedCharger, HasteObjective
 from ..sim.engine import ExecutionResult
-from .baselines import MIN_GAIN, greedy_utility_schedule
+from .baselines import MIN_GAIN
 
 __all__ = [
     "greedy_utility_schedule_batch",
@@ -69,13 +69,6 @@ def greedy_utility_schedule_batch(
     objectives = [
         HasteObjective(net, u) for net, u in zip(networks, utils)
     ]
-    if not all(obj.use_sparse for obj in objectives):
-        # Non-restrictable custom utilities fall off the sparse path; keep
-        # correctness by delegating those solves to the sequential driver.
-        return [
-            greedy_utility_schedule(net, utility=u)
-            for net, u in zip(networks, utils)
-        ]
     schedules = [Schedule(net) for net in networks]
     n_max = max((net.n for net in networks), default=0)
     for i in range(n_max):

@@ -20,11 +20,6 @@ Implementation notes (performance-guide driven):
   returns the marginal of *every* policy against the matching sample rows
   at once (:meth:`repro.objective.haste.HasteObjective.partition_gains_rows`,
   which gathers only the ``(rows × receivable columns)`` block);
-* the sweep is *lazy* by default (:mod:`repro.offline.lazy`): partitions
-  whose receivable tasks are untouched in the matching rows reuse cached
-  gains, and stale-upper-bound pruning skips provably idle visits — the
-  schedule is identical to the eager sweep's, with the avoided work
-  reported in :class:`OfflineResult`;
 * partitions are visited in ``(slot, charger)`` order by default; the
   TabularGreedy guarantee is order-invariant (the paper leans on this for
   Thm 6.1), and the tests verify order invariance for ``C = 1``.
@@ -43,7 +38,6 @@ from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
 from ..objective.haste import HasteObjective
 from ..submodular.estimation import ColorSampler
-from .lazy import LazySweepState
 
 __all__ = ["OfflineResult", "CentralizedScheduler", "schedule_offline"]
 
@@ -66,21 +60,15 @@ class OfflineResult:
     num_samples: int
     table: dict = field(repr=False, default_factory=dict)
     partitions: int = 0
-    #: Partition visits with at least one matching sample — the eager
-    #: algorithm's scan count (Thm 5.1's work unit), lazy or not.
+    #: Partition visits with at least one matching sample — the sweep's
+    #: gain-kernel runs (Thm 5.1's work unit).
     candidate_scans: int = 0
-    #: Visits that actually ran the vectorized gain kernel.
-    fresh_scans: int = 0
-    #: Visits answered from the clean-partition gain cache.
-    cached_reuses: int = 0
-    #: Visits pruned outright by the stale upper bound.
-    pruned_skips: int = 0
 
     def summary(self) -> str:
         return (
             f"OfflineResult(f={self.objective_value:.6g}, C={self.num_colors}, "
             f"S={self.num_samples}, partitions={self.partitions}, "
-            f"scans={self.fresh_scans}/{self.candidate_scans})"
+            f"scans={self.candidate_scans})"
         )
 
 
@@ -96,19 +84,16 @@ class CentralizedScheduler:
         network: ChargerNetwork,
         *,
         utility: UtilityFunction | None = None,
-        use_sparse: bool = True,
         objective: HasteObjective | None = None,
     ) -> None:
         self.network = network
         # A caller-supplied objective (the prepared-state warm path) must
-        # already be bound to this network; ``utility``/``use_sparse`` are
-        # then carried by the objective itself.
+        # already be bound to this network; ``utility`` is then carried by
+        # the objective itself.
         if objective is not None and objective.network is not network:
             raise ValueError("objective is bound to a different network")
         self.objective = (
-            objective
-            if objective is not None
-            else HasteObjective(network, utility, use_sparse=use_sparse)
+            objective if objective is not None else HasteObjective(network, utility)
         )
         # Partitions in (slot, charger) order; chargers with only the idle
         # policy or no relevant slots never appear.
@@ -129,7 +114,6 @@ class CentralizedScheduler:
         rng: np.random.Generator | None = None,
         group_order: Sequence[tuple[int, int]] | None = None,
         final_draws: int = 8,
-        lazy: bool = True,
     ) -> OfflineResult:
         """Execute TabularGreedy and return the sampled schedule.
 
@@ -139,13 +123,6 @@ class CentralizedScheduler:
         guarantee is stated for).  ``final_draws = 1`` is the literal
         Algorithm 2.
 
-        ``lazy`` routes the sweep through the dirty-aware gain cache
-        (:class:`~repro.offline.lazy.LazySweepState`): partitions whose
-        receivable tasks are untouched in the matching sample rows reuse
-        their cached gains, and partitions whose stale upper bound cannot
-        clear ``MIN_GAIN`` are pruned without a scan.  ``lazy=False`` runs
-        the eager reference sweep; both produce the same schedule.
-
         When the observability layer is enabled (:mod:`repro.obs`), the
         run is traced as an ``offline.run`` span with one
         ``offline.color_sweep`` child per color, and the scan counters
@@ -153,39 +130,24 @@ class CentralizedScheduler:
         """
         if num_colors < 1:
             raise ValueError(f"num_colors must be >= 1, got {num_colors}")
-        with obs.span(
-            "offline.run",
-            colors=num_colors,
-            lazy=lazy,
-            sparse=self.objective.use_sparse,
-        ):
+        with obs.span("offline.run", colors=num_colors):
             result = self._run(
                 num_colors,
                 num_samples=num_samples,
                 rng=rng,
                 group_order=group_order,
                 final_draws=final_draws,
-                lazy=lazy,
             )
-        if obs.enabled():
-            obs.inc("offline.runs")
-            obs.inc("offline.partitions", result.partitions)
-            obs.inc("offline.candidate_scans", result.candidate_scans)
-            obs.inc("offline.fresh_scans", result.fresh_scans)
-            obs.inc("offline.cached_reuses", result.cached_reuses)
-            obs.inc("offline.pruned_skips", result.pruned_skips)
-            obs.event(
-                "offline.run",
-                colors=num_colors,
-                samples=result.num_samples,
-                sparse=self.objective.use_sparse,
-                lazy=lazy,
-                value=result.objective_value,
-                candidate_scans=result.candidate_scans,
-                fresh_scans=result.fresh_scans,
-                cached_reuses=result.cached_reuses,
-                pruned_skips=result.pruned_skips,
-            )
+        obs.inc("offline.runs")
+        obs.inc("offline.partitions", result.partitions)
+        obs.inc("offline.candidate_scans", result.candidate_scans)
+        obs.event(
+            "offline.run",
+            colors=num_colors,
+            samples=result.num_samples,
+            value=result.objective_value,
+            candidate_scans=result.candidate_scans,
+        )
         return result
 
     def _run(
@@ -196,7 +158,6 @@ class CentralizedScheduler:
         rng: np.random.Generator | None,
         group_order: Sequence[tuple[int, int]] | None,
         final_draws: int,
-        lazy: bool,
     ) -> OfflineResult:
         """The actual TabularGreedy sweep (see :meth:`run`)."""
         rng = rng if rng is not None else np.random.default_rng()
@@ -209,49 +170,27 @@ class CentralizedScheduler:
         sampler = ColorSampler(order, num_colors, num_samples, rng)
         S = sampler.num_samples
         energies = self.objective.zero_energy((S,))  # (S, m)
-        sweep = (
-            LazySweepState(self.objective, order, S, threshold=MIN_GAIN)
-            if lazy
-            else None
-        )
         matches = sampler.matches_by_color()
-        bits = (
-            sweep.match_bits_by_color(sampler.colors, num_colors)
-            if sweep is not None
-            else None
-        )
 
         table: dict[tuple[int, int, int], int] = {}
         scans = 0
         for c in range(num_colors):
             color_matches = matches[c]
-            color_bits = bits[c] if bits is not None else None
             with obs.span("offline.color_sweep", color=c):
                 for g, (i, k) in enumerate(order):
                     match = color_matches[g]
                     if match.size == 0:
                         continue
                     scans += 1
-                    if sweep is not None:
-                        mb = color_bits[g] if color_bits is not None else None
-                        total = sweep.totals(energies, i, k, match, mb)
-                        if total is None:
-                            continue  # provably idle — bit-identical skip
-                    else:
-                        gains = self.objective.partition_gains_rows(
-                            energies, match, i, k
-                        )
-                        total = gains.sum(axis=0) / S  # (P_i,)
+                    gains = self.objective.partition_gains_rows(
+                        energies, match, i, k
+                    )
+                    total = gains.sum(axis=0) / S  # (P_i,)
                     best_p = int(total.argmax())
                     if best_p == IDLE_POLICY or total[best_p] <= MIN_GAIN:
                         continue
                     table[(i, k, c)] = best_p
-                    if sweep is not None:
-                        sweep.commit(energies, i, k, best_p, match, mb)
-                    else:
-                        self.objective.apply_rows(
-                            energies, match, i, k, best_p
-                        )
+                    self.objective.apply_rows(energies, match, i, k, best_p)
 
         if final_draws < 1:
             raise ValueError(f"final_draws must be >= 1, got {final_draws}")
@@ -282,9 +221,6 @@ class CentralizedScheduler:
             table=table,
             partitions=len(order),
             candidate_scans=scans,
-            fresh_scans=sweep.fresh_scans if sweep is not None else scans,
-            cached_reuses=sweep.cached_reuses if sweep is not None else 0,
-            pruned_skips=sweep.pruned_skips if sweep is not None else 0,
         )
 
 

@@ -122,26 +122,18 @@ class ChargerAgent:
         self._dirty_pos: set[int] = set()
         self._add: np.ndarray | None = None
         # Receivable-task bitmask — lets note_commit test column overlap
-        # with one integer AND.  The linear-bounded sparse case also binds
-        # the kernel's inputs here so best_candidate can inline it.
-        cols = getattr(objective, "_cols", None)
-        if cols is not None:
-            bits = 0
-            for t in cols[index]:
-                bits |= 1 << int(t)
-            self._col_bits: int | None = bits
-        else:
-            self._col_bits = None
-        util_E = getattr(objective, "_util_E", None)
-        self._fast = (
-            objective.use_sparse
-            and util_E is not None
-            and util_E[index] is not None
-        )
+        # with one integer AND.  The linear-bounded case also binds the
+        # kernel's inputs here so best_candidate can inline it.
+        bits = 0
+        for t in objective._cols[index]:
+            bits |= 1 << int(t)
+        self._col_bits = bits
+        util_E = objective._util_E[index]
+        self._fast = util_E is not None
         self._ck = None
         if self._fast:
             self._cols_i = np.ascontiguousarray(objective._cols[index])
-            self._E_i = np.ascontiguousarray(util_E[index])
+            self._E_i = np.ascontiguousarray(util_E)
             self._w_i = np.ascontiguousarray(objective._w_cols[index])
             num_policies = objective.network.policy_count(index)
             if (
@@ -295,17 +287,14 @@ class ChargerAgent:
             return  # nothing cached to maintain
         if not (sender_bits & self._match_bits):
             return
-        if self._col_bits is not None and not (changed_bits & self._col_bits):
+        if not (changed_bits & self._col_bits):
             return
         self._proposal = None
-        if self._col_bits is not None:
-            # Only rows the commit actually wrote need a fresh gain vector.
-            dirty = self._dirty_pos
-            for p, r in enumerate(self._row_list):
-                if (sender_bits >> r) & 1:
-                    dirty.add(p)
-        else:
-            self._row_gains = None
+        # Only rows the commit actually wrote need a fresh gain vector.
+        dirty = self._dirty_pos
+        for p, r in enumerate(self._row_list):
+            if (sender_bits >> r) & 1:
+                dirty.add(p)
 
 
 def _store_proposal(agent: "ChargerAgent", best_p: int, best_v: float) -> None:
@@ -593,12 +582,9 @@ def _negotiate_window(
     else:
         views = objective.zero_energy((network.n, S))
     agents = {i: ChargerAgent(i, objective, S, views[i]) for i in participants}
-    use_sparse = objective.use_sparse
-    sparse_cols = objective._cols if use_sparse else None
-    if use_sparse and _C is not None:
-        sparse_cols = [
-            np.ascontiguousarray(c, dtype=np.intp) for c in sparse_cols
-        ]
+    cols = objective._cols
+    if _C is not None:
+        cols = [np.ascontiguousarray(c, dtype=np.intp) for c in cols]
     # (charger, slot, policy) → int bitmask of the tasks the commit funds.
     changed_bits_cache: dict[tuple[int, int, int], int] = {}
     bus = bus if bus is not None else MessageBus(list(network.neighbors))
@@ -622,11 +608,7 @@ def _negotiate_window(
             continue
         gidx = [(i, group_index[(i, k)]) for i in active_agents]
         deg_active = sum(degree[i] for i in active_agents)
-        adds_k = (
-            {i: objective.added_energy_cols(i, k) for i in active_agents}
-            if use_sparse
-            else None
-        )
+        adds_k = {i: objective.added_energy_cols(i, k) for i in active_agents}
         for c in range(num_colors):
             stats.negotiations += 1
             rows_c, lists_c, bits_c = all_matches[c], row_lists[c], row_bits[c]
@@ -636,8 +618,7 @@ def _negotiate_window(
                 match[i] = rows_c[g]
                 match_bits[i] = bits_c[g]
                 agents[i].reset_negotiation(
-                    k, bits_c[g], rows_c[g], lists_c[g],
-                    adds_k[i] if adds_k is not None else None,
+                    k, bits_c[g], rows_c[g], lists_c[g], adds_k[i]
                 )
             undecided = set(active_agents)
             # Message-count bookkeeping: in the synchronous model every
@@ -784,25 +765,16 @@ def _negotiate_window(
                     rows_w = match[w]
                     receivers = [i for i in neighbors[w] if i in undecided]
                     receivers.append(w)
-                    if use_sparse:
-                        vals = adds_k[w][policy]
-                        if _C is not None:
-                            _C.fold(
-                                views, receivers, rows_w,
-                                sparse_cols[w], vals,
-                            )
-                        else:
-                            obs = np.asarray(receivers, dtype=np.intp)
-                            views[
-                                obs[:, None, None],
-                                rows_w[None, :, None],
-                                sparse_cols[w][None, None, :],
-                            ] += vals
+                    vals = adds_k[w][policy]
+                    if _C is not None:
+                        _C.fold(views, receivers, rows_w, cols[w], vals)
                     else:
                         obs = np.asarray(receivers, dtype=np.intp)
                         views[
-                            obs[:, None], rows_w[None, :]
-                        ] += objective.added_energy(w, k)[policy]
+                            obs[:, None, None],
+                            rows_w[None, :, None],
+                            cols[w][None, None, :],
+                        ] += vals
                     key = (w, k, policy)
                     cb = changed_bits_cache.get(key)
                     if cb is None:
@@ -908,8 +880,7 @@ def _negotiate_window_faulty(
     else:
         views = objective.zero_energy((network.n, S))
     agents = {i: ChargerAgent(i, objective, S, views[i]) for i in participants}
-    use_sparse = objective.use_sparse
-    sparse_cols = objective._cols if use_sparse else None
+    cols = objective._cols
     changed_bits_cache: dict[tuple[int, int, int], int] = {}
     bus = LossyMessageBus(list(network.neighbors), injector)
     stats = bus.stats
@@ -921,14 +892,9 @@ def _negotiate_window_faulty(
     prop_evals = 0
     prop_hits = 0
 
-    def fold(receiver: int, w: int, k: int, policy: int, rows_w, adds_k) -> None:
+    def fold(receiver: int, w: int, policy: int, rows_w, adds_k) -> None:
         """Apply ``w``'s committed energy to one receiver's view."""
-        if use_sparse:
-            views[receiver][rows_w[:, None], sparse_cols[w][None, :]] += (
-                adds_k[w][policy]
-            )
-        else:
-            views[receiver][rows_w] += objective.added_energy(w, k)[policy]
+        views[receiver][rows_w[:, None], cols[w][None, :]] += adds_k[w][policy]
 
     for k in slots:
         k = int(k)
@@ -937,11 +903,7 @@ def _negotiate_window_faulty(
             continue
         active_set = set(active_agents)
         gidx = [(i, group_index[(i, k)]) for i in active_agents]
-        adds_k = (
-            {i: objective.added_energy_cols(i, k) for i in active_agents}
-            if use_sparse
-            else None
-        )
+        adds_k = {i: objective.added_energy_cols(i, k) for i in active_agents}
         for c in range(num_colors):
             stats.negotiations += 1
             bus.reset_inboxes()
@@ -952,8 +914,7 @@ def _negotiate_window_faulty(
                 match[i] = rows_c[g]
                 match_bits[i] = bits_c[g]
                 agents[i].reset_negotiation(
-                    k, bits_c[g], rows_c[g], lists_c[g],
-                    adds_k[i] if adds_k is not None else None,
+                    k, bits_c[g], rows_c[g], lists_c[g], adds_k[i]
                 )
             undecided = set(active_agents)
             #: per-receiver knowledge: i -> {j: (gain, policy, stamp)}.
@@ -1006,7 +967,7 @@ def _negotiate_window_faulty(
                             if (i, j) in folded:
                                 continue  # duplicate UPD — fold once
                             folded.add((i, j))
-                            fold(i, j, k, msg.policy, match[j], adds_k)
+                            fold(i, j, msg.policy, match[j], adds_k)
                             key = (j, k, msg.policy)
                             cb = changed_bits_cache.get(key)
                             if cb is None:
@@ -1102,7 +1063,7 @@ def _negotiate_window_faulty(
                     )
                     undecided.discard(i)
                     folded.add((i, i))
-                    fold(i, i, k, policy, match[i], adds_k)
+                    fold(i, i, policy, match[i], adds_k)
                     upd = Message(i, k, c, CMD_UPDATE, gain_i, policy, rnd)
                     bus.broadcast(upd)
                     targets = {j for j in neighbors[i] if j in active_set}

@@ -77,7 +77,6 @@ def run_online_haste(
     rho: float = 1.0 / 12.0,
     rng: np.random.Generator | None = None,
     final_draws: int = 4,
-    use_sparse: bool = True,
     fault_model: FaultModel | None = None,
     base_objective: HasteObjective | None = None,
 ) -> OnlineRunResult:
@@ -105,8 +104,6 @@ def run_online_haste(
     the whole run and each event derives a knowledge-masked view from it
     (:meth:`~repro.objective.haste.HasteObjective.masked_view`), sharing
     the per-policy energy kernels instead of reallocating them.
-    ``use_sparse=False`` selects the dense reference kernels end to end
-    (used by the equivalence tests).
 
     When :mod:`repro.obs` is enabled the run is traced as an
     ``online.run`` span with one ``online.arrival`` child per event —
@@ -138,7 +135,7 @@ def run_online_haste(
         if base_objective.network is not network:
             raise ValueError("base_objective is bound to a different network")
     else:
-        base_objective = HasteObjective(network, use_sparse=use_sparse)
+        base_objective = HasteObjective(network)
 
     arrival_slots = sorted({t.release_slot for t in network.tasks})
     with obs.span("online.run", colors=num_colors, tau=tau):

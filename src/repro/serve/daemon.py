@@ -41,6 +41,7 @@ import asyncio
 import json
 import threading
 
+from .. import obs
 from ..solvers.registry import REGISTRY, SolverError, get_solver
 from ..solvers.spec import SpecError
 from .engine import EngineBusy, EngineClosed, ScheduleEngine
@@ -52,11 +53,21 @@ from .resilience import (
     WorkerCrashed,
 )
 
-__all__ = ["ServeDaemon", "DaemonHandle", "start_in_thread"]
+__all__ = [
+    "ServeDaemon",
+    "DaemonHandle",
+    "configure_telemetry",
+    "start_in_thread",
+]
 
 #: Hard cap on request bodies (64 MiB ≈ a few-hundred-thousand-task
 #: instance in JSON) — beyond this the daemon refuses rather than buffer.
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Telemetry records (spans and events) the daemon keeps in memory.
+#: Nothing drains the daemon's sink, so it holds only the newest ones;
+#: ``/stats`` reads the registry's aggregates, not these records.
+TELEMETRY_RECORDS = 4096
 
 #: Watchdog slack past the request budget before the daemon intervenes —
 #: the engine's cooperative checks normally finish well inside this.
@@ -76,6 +87,11 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+
+def configure_telemetry() -> obs.MetricRegistry:
+    """Enable telemetry for a long-running daemon, with bounded memory."""
+    return obs.configure(sink=obs.RingSink(TELEMETRY_RECORDS))
 
 
 def _kernel_mode() -> str:

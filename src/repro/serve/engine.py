@@ -370,16 +370,14 @@ class ScheduleEngine:
         except queue.Full:
             with self._lock:
                 self.rejected += 1
-            if obs.enabled():
-                obs.inc("serve.rejected")
+            obs.inc("serve.rejected")
             raise EngineBusy(
                 f"request queue is full ({self.queue_limit} pending)"
             ) from None
         with self._lock:
             self.requests += 1
-        if obs.enabled():
-            obs.inc("serve.requests")
-            obs.set_gauge("serve.queue_depth", self._queue.qsize())
+        obs.inc("serve.requests")
+        obs.set_gauge("serve.queue_depth", self._queue.qsize())
         return fut
 
     def solve(
@@ -423,8 +421,7 @@ class ScheduleEngine:
             self.deadline_timeouts += 1
         if self._breaker is not None:
             self._breaker.record_failure(canonical)
-        if obs.enabled():
-            obs.inc("serve.deadline_timeouts")
+        obs.inc("serve.deadline_timeouts")
 
     # ------------------------------------------------------------------
     # Worker side
@@ -444,8 +441,7 @@ class ScheduleEngine:
                 except Exception as exc:
                     with self._lock:
                         self.errors += 1
-                    if obs.enabled():
-                        obs.inc("serve.errors")
+                    obs.inc("serve.errors")
                     fut.set_exception(exc)
                 except BaseException as exc:
                     # A worker-killing crash: answer/requeue the poisoning
@@ -460,8 +456,7 @@ class ScheduleEngine:
                             del self._inflight[key]
             finally:
                 self._queue.task_done()
-                if obs.enabled():
-                    obs.set_gauge("serve.queue_depth", self._queue.qsize())
+                obs.set_gauge("serve.queue_depth", self._queue.qsize())
             if died or self._check_deferred_exit():
                 return
 
@@ -484,15 +479,14 @@ class ScheduleEngine:
             if key is not None:
                 self._quarantine[key] = self._quarantine.get(key, 0) + 1
                 quarantined = self._quarantine[key] >= self.quarantine_after
-        if obs.enabled():
-            obs.inc("serve.worker_crashes")
-            obs.event(
-                "serve.worker_crash",
-                level="error",
-                spec=job.spec,
-                error=repr(exc),
-                quarantined=quarantined,
-            )
+        obs.inc("serve.worker_crashes")
+        obs.event(
+            "serve.worker_crash",
+            level="error",
+            spec=job.spec,
+            error=repr(exc),
+            quarantined=quarantined,
+        )
         crash_error = WorkerCrashed(
             f"worker died executing {job.spec!r}: {type(exc).__name__}: {exc}"
         )
@@ -553,11 +547,10 @@ class ScheduleEngine:
                     self._workers[i] = replacement
                     self.worker_restarts += 1
                 replacement.start()
-                if obs.enabled():
-                    obs.inc("serve.worker_restarts")
-                    obs.event(
-                        "serve.worker_restart", level="warning", worker=t.name
-                    )
+                obs.inc("serve.worker_restarts")
+                obs.event(
+                    "serve.worker_restart", level="warning", worker=t.name
+                )
 
     # ------------------------------------------------------------------
     # Request execution
@@ -591,8 +584,7 @@ class ScheduleEngine:
                     self.result_hits += 1
                     self.completed += 1
             if hit is not None:
-                if obs.enabled():
-                    obs.inc("serve.result_cache_hits")
+                obs.inc("serve.result_cache_hits")
                 self._observe_latency(solver.name, queued_s)
                 return ServeResult(
                     artifact=hit[0],
@@ -606,8 +598,7 @@ class ScheduleEngine:
                 )
             with self._lock:
                 self.result_misses += 1
-            if obs.enabled():
-                obs.inc("serve.result_cache_misses")
+            obs.inc("serve.result_cache_misses")
 
         # Single-flight: concurrent identical seeded requests collapse
         # onto one execution — the idempotency guarantee retrying clients
@@ -645,8 +636,7 @@ class ScheduleEngine:
         """
         with self._lock:
             self.inflight_dedup += 1
-        if obs.enabled():
-            obs.inc("serve.inflight_dedup")
+        obs.inc("serve.inflight_dedup")
         deadline, token = job.deadline, job.token
         budget = (
             max(deadline.remaining(), 0.01)
@@ -725,8 +715,7 @@ class ScheduleEngine:
         elif deadline is not None and deadline.expired():
             with self._lock:
                 self.deadline_expired += 1
-            if obs.enabled():
-                obs.inc("serve.deadline_expired")
+            obs.inc("serve.deadline_expired")
             if not degradable:
                 deadline.check(canonical)  # raises DeadlineExceeded
             reason = "deadline"
@@ -755,8 +744,7 @@ class ScheduleEngine:
                     self._breaker.record_failure(canonical)
                 with self._lock:
                     self.deadline_expired += 1
-                if obs.enabled():
-                    obs.inc("serve.deadline_expired")
+                obs.inc("serve.deadline_expired")
                 if not degradable:
                     raise
                 reason = "deadline"
@@ -838,7 +826,7 @@ class ScheduleEngine:
                     self._deferred_exit.add(threading.get_ident())
                 break
             drained.append(item)
-        if drained and obs.enabled():
+        if drained:
             obs.set_gauge("serve.queue_depth", self._queue.qsize())
         return drained
 
@@ -857,8 +845,7 @@ class ScheduleEngine:
         except Exception as exc:
             with self._lock:
                 self.errors += 1
-            if obs.enabled():
-                obs.inc("serve.errors")
+            obs.inc("serve.errors")
             fut.set_exception(exc)
         except BaseException as exc:
             self._note_poison(fut, job, enqueued, exc)
@@ -932,8 +919,7 @@ class ScheduleEngine:
                 except Exception as exc:
                     with self._lock:
                         self.errors += 1
-                    if obs.enabled():
-                        obs.inc("serve.errors")
+                    obs.inc("serve.errors")
                     fut2.set_exception(exc)
                     continue
                 effective2 = (
@@ -952,8 +938,7 @@ class ScheduleEngine:
                             self.result_hits += 1
                             self.completed += 1
                     if hit is not None:
-                        if obs.enabled():
-                            obs.inc("serve.result_cache_hits")
+                        obs.inc("serve.result_cache_hits")
                         self._observe_latency(solver.name, queued2)
                         fut2.set_result(
                             ServeResult(
@@ -970,8 +955,7 @@ class ScheduleEngine:
                         continue
                     with self._lock:
                         self.result_misses += 1
-                    if obs.enabled():
-                        obs.inc("serve.result_cache_misses")
+                    obs.inc("serve.result_cache_misses")
                 degradable2 = job2.degrade and self._ladder is not None
                 if self._is_quarantined(key2):
                     if not degradable2:
@@ -993,8 +977,7 @@ class ScheduleEngine:
                 if job2.deadline is not None and job2.deadline.expired():
                     with self._lock:
                         self.deadline_expired += 1
-                    if obs.enabled():
-                        obs.inc("serve.deadline_expired")
+                    obs.inc("serve.deadline_expired")
                     if not degradable2:
                         with self._lock:
                             self.errors += 1
@@ -1070,9 +1053,8 @@ class ScheduleEngine:
                     self.solves += len(members)
                     self.coalesced_batches += 1
                     self.coalesced_requests += len(members)
-                if obs.enabled():
-                    obs.inc("serve.coalesced_batches")
-                    obs.inc("serve.coalesced_requests", len(members))
+                obs.inc("serve.coalesced_batches")
+                obs.inc("serve.coalesced_requests", len(members))
                 for mem, artifact, warm in zip(members, artifacts, warms):
                     if self._breaker is not None:
                         self._breaker.record_success(canonical)
@@ -1109,14 +1091,13 @@ class ScheduleEngine:
                 # solo solve (coalescing suppressed — no recursion).
                 if self._breaker is not None:
                     self._breaker.record_failure(canonical)
-                if obs.enabled():
-                    obs.event(
-                        "serve.coalesce_fallback",
-                        level="warning",
-                        spec=canonical,
-                        batch=len(members),
-                        error=repr(batch_error),
-                    )
+                obs.event(
+                    "serve.coalesce_fallback",
+                    level="warning",
+                    spec=canonical,
+                    batch=len(members),
+                    error=repr(batch_error),
+                )
                 for mem in members:
                     mjob = mem["job"]
                     try:
@@ -1132,8 +1113,7 @@ class ScheduleEngine:
                         else:
                             with self._lock:
                                 self.errors += 1
-                            if obs.enabled():
-                                obs.inc("serve.errors")
+                            obs.inc("serve.errors")
                             mem["fut"].set_exception(exc)
                         continue
                     mem["result"] = res
@@ -1158,15 +1138,13 @@ class ScheduleEngine:
                     except Exception as exc:
                         with self._lock:
                             self.errors += 1
-                        if obs.enabled():
-                            obs.inc("serve.errors")
+                        obs.inc("serve.errors")
                         fut2.set_exception(exc)
                     continue
                 with self._lock:
                     self.inflight_dedup += 1
                     self.completed += 1
-                if obs.enabled():
-                    obs.inc("serve.inflight_dedup")
+                obs.inc("serve.inflight_dedup")
                 self._observe_latency(solver.name, queued2)
                 fut2.set_result(
                     ServeResult(
@@ -1199,8 +1177,7 @@ class ScheduleEngine:
                 except Exception as exc:
                     with self._lock:
                         self.errors += 1
-                    if obs.enabled():
-                        obs.inc("serve.errors")
+                    obs.inc("serve.errors")
                     fut2.set_exception(exc)
 
             # --- members whose gates tripped degrade as usual ---------
@@ -1216,8 +1193,7 @@ class ScheduleEngine:
                 except Exception as exc:
                     with self._lock:
                         self.errors += 1
-                    if obs.enabled():
-                        obs.inc("serve.errors")
+                    obs.inc("serve.errors")
                     fut2.set_exception(exc)
 
             # --- uncoalescible drained items run solo, in order -------
@@ -1240,8 +1216,7 @@ class ScheduleEngine:
                 if not fut2.done():
                     with self._lock:
                         self.errors += 1
-                    if obs.enabled():
-                        obs.inc("serve.errors")
+                    obs.inc("serve.errors")
                     fut2.set_exception(
                         pending_exc
                         if pending_exc is not None
@@ -1249,8 +1224,7 @@ class ScheduleEngine:
                     )
             for _ in drained:
                 self._queue.task_done()
-            if obs.enabled():
-                obs.set_gauge("serve.queue_depth", self._queue.qsize())
+            obs.set_gauge("serve.queue_depth", self._queue.qsize())
 
         if leader_exc is not None:
             raise leader_exc
@@ -1300,15 +1274,14 @@ class ScheduleEngine:
             with self._lock:
                 self.degraded += 1
                 self.completed += 1
-            if obs.enabled():
-                obs.inc("serve.degraded")
-                obs.event(
-                    "serve.degraded",
-                    level="warning",
-                    from_spec=canonical,
-                    to_spec=rcanon,
-                    reason=reason,
-                )
+            obs.inc("serve.degraded")
+            obs.event(
+                "serve.degraded",
+                level="warning",
+                from_spec=canonical,
+                to_spec=rcanon,
+                reason=reason,
+            )
             self._observe_latency(rung.name, queued_s + solve_s)
             return ServeResult(
                 artifact=artifact,
@@ -1395,8 +1368,7 @@ class ScheduleEngine:
     def _observe_latency(self, window: str, seconds: float) -> None:
         with self._lock:
             self._latency.observe(seconds, window=window)
-        if obs.enabled():
-            obs.observe_windowed(LATENCY_METRIC, seconds, window=window)
+        obs.observe_windowed(LATENCY_METRIC, seconds, window=window)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

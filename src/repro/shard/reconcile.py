@@ -199,7 +199,7 @@ def _reconcile_group_worker(
         if wopts["utility"] is None
         else utility_from_arrays(net.required_energy, wopts["utility"], wopts["gamma"])
     )
-    objective = HasteObjective(net, util, use_sparse=wopts["sparse"])
+    objective = HasteObjective(net, util)
     slots = [int(k) for k in np.flatnonzero(net.active.any(axis=0))]
     rng = np.random.default_rng(seed_seq)
     num_colors = wopts["colors"]
@@ -256,7 +256,6 @@ def reconcile_boundary(
     num_colors: int,
     num_samples: int,
     final_draws: int,
-    use_sparse: bool,
     utility_family: str | None,
     gamma: float,
     num_slots: int,
@@ -290,7 +289,6 @@ def reconcile_boundary(
         "colors": num_colors,
         "samples": num_samples,
         "final_draws": final_draws,
-        "sparse": use_sparse,
         "utility": utility_family,
         "gamma": gamma,
     }

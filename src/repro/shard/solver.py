@@ -89,7 +89,6 @@ def _resolve_shard_params(params, config, *, online: bool) -> dict:
         "colors": int(colors),
         "samples": int(samples),
         "final_draws": int(params["final_draws"]),
-        "sparse": bool(params["sparse"]),
         "rho": float(config.rho),
         "shards": int(shards),
         "halo": params["halo"],
@@ -100,7 +99,6 @@ def _resolve_shard_params(params, config, *, online: bool) -> dict:
         opts["tau"] = int(tau)
     else:
         opts["smooth"] = bool(params["smooth"])
-        opts["lazy"] = bool(params["lazy"])
         opts["utility"] = params["utility"]
         opts["gamma"] = float(params["gamma"])
     return opts
@@ -170,12 +168,11 @@ def _offline_tile_worker(
     )
     rng = np.random.default_rng(seed_seq)
     start = time.perf_counter()
-    result = CentralizedScheduler(net, utility=util, use_sparse=opts["sparse"]).run(
+    result = CentralizedScheduler(net, utility=util).run(
         opts["colors"],
         num_samples=opts["samples"],
         rng=rng,
         final_draws=opts["final_draws"],
-        lazy=opts["lazy"],
     )
     schedule = result.schedule
     if opts["smooth"]:
@@ -218,7 +215,6 @@ def _online_tile_worker(
         rho=opts["rho"],
         rng=rng,
         final_draws=opts["final_draws"],
-        use_sparse=opts["sparse"],
         fault_model=fault_model,
     )
     plan_s = time.perf_counter() - start
@@ -319,7 +315,6 @@ def solve_offline_sharded(
                 num_colors=opts["colors"],
                 num_samples=opts["samples"],
                 final_draws=opts["final_draws"],
-                use_sparse=opts["sparse"],
                 utility_family=opts["utility"],
                 gamma=opts["gamma"],
                 num_slots=num_slots,

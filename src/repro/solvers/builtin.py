@@ -60,7 +60,6 @@ from ..offline.batched import (
     greedy_cover_schedule_batch,
     greedy_utility_schedule_batch,
 )
-from ..offline.centralized import CentralizedScheduler
 from ..offline.optimal import optimal_schedule
 from ..offline.smoothing import smooth_switches
 from ..online.runtime import run_online_baseline, run_online_haste
@@ -151,7 +150,6 @@ def _solve_haste_offline(prepared, rng, config, params) -> RunArtifact:
     )
     start = time.perf_counter()
     result = prepared.scheduler(
-        use_sparse=bool(params["sparse"]),
         utility_family=params.get("utility"),
         gamma=float(params.get("gamma", 0.5)),
     ).run(
@@ -159,7 +157,6 @@ def _solve_haste_offline(prepared, rng, config, params) -> RunArtifact:
         num_samples=int(samples),
         rng=rng,
         final_draws=int(params["final_draws"]),
-        lazy=bool(params["lazy"]),
     )
     schedule = result.schedule
     if params["smooth"]:
@@ -328,9 +325,8 @@ def _solve_online_haste(prepared, rng, config, params) -> RunArtifact:
         rho=config.rho,
         rng=rng,
         final_draws=int(params["final_draws"]),
-        use_sparse=bool(params["sparse"]),
         fault_model=fault_model,
-        base_objective=prepared.objective(use_sparse=bool(params["sparse"])),
+        base_objective=prepared.objective(),
     )
     plan_s = time.perf_counter() - start
     return artifact_from_online_run(network, run, meta={"plan_s": plan_s})
@@ -354,8 +350,6 @@ register(
     SolverCapabilities(
         setting="offline",
         supports_colors=True,
-        supports_sparse=True,
-        supports_lazy=True,
         supports_utility=True,
         supports_shards=True,
         description=(
@@ -366,8 +360,6 @@ register(
         "c": None,
         "samples": None,
         "smooth": True,
-        "lazy": True,
-        "sparse": True,
         "final_draws": 8,
         "utility": None,
         "gamma": 0.5,
@@ -440,7 +432,6 @@ register(
     SolverCapabilities(
         setting="online",
         supports_colors=True,
-        supports_sparse=True,
         supports_shards=True,
         description="Distributed online negotiation (Alg. 3) with τ-delayed replans",
     ),
@@ -449,7 +440,6 @@ register(
         "samples": None,
         "tau": None,
         "final_draws": 4,
-        "sparse": True,
         # Fault-injection knobs (repro.faults): all-defaults == lossless.
         "loss": 0.0,
         "dup": 0.0,

@@ -6,7 +6,7 @@ profiles:
 * **prepare** — deterministic in the :class:`~repro.solvers.instance.
   Instance` arrays: build the :class:`~repro.core.network.ChargerNetwork`
   (coverage geometry, power matrix, dominant policy lists), materialize
-  the dense/sparse per-policy energy blocks, bind the
+  the per-policy energy blocks, bind the
   :class:`~repro.objective.haste.HasteObjective` kernels, list the
   TabularGreedy partitions, and (for ``shards=S`` specs) partition the
   field into tiles and slice the per-tile sub-instances;
@@ -143,7 +143,7 @@ class PreparedNetwork:
                 self._utilities[key] = util
             return util
 
-    def objective(self, *, use_sparse=True, utility_family=None, gamma=0.5):
+    def objective(self, *, utility_family=None, gamma=0.5):
         """A shared :class:`HasteObjective` bound to this network.
 
         The objective holds only static kernels (per-policy energy blocks,
@@ -153,19 +153,17 @@ class PreparedNetwork:
         """
         from ..objective.haste import HasteObjective
 
-        key = (bool(use_sparse),) + _utility_key(utility_family, gamma)
+        key = _utility_key(utility_family, gamma)
         with self._lock:
             objective = self._objectives.get(key)
             if objective is None:
                 objective = HasteObjective(
-                    self.network,
-                    self.scoring_utility(utility_family, gamma),
-                    use_sparse=bool(use_sparse),
+                    self.network, self.scoring_utility(utility_family, gamma)
                 )
                 self._objectives[key] = objective
             return objective
 
-    def scheduler(self, *, use_sparse=True, utility_family=None, gamma=0.5):
+    def scheduler(self, *, utility_family=None, gamma=0.5):
         """A shared :class:`CentralizedScheduler` (Algorithm 2 runner).
 
         The scheduler's construction cost — objective binding plus the
@@ -175,16 +173,14 @@ class PreparedNetwork:
         """
         from ..offline.centralized import CentralizedScheduler
 
-        key = (bool(use_sparse),) + _utility_key(utility_family, gamma)
+        key = _utility_key(utility_family, gamma)
         with self._lock:
             sched = self._schedulers.get(key)
             if sched is None:
                 sched = CentralizedScheduler(
                     self.network,
                     objective=self.objective(
-                        use_sparse=use_sparse,
-                        utility_family=utility_family,
-                        gamma=gamma,
+                        utility_family=utility_family, gamma=gamma
                     ),
                 )
                 self._schedulers[key] = sched

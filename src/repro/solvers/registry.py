@@ -18,7 +18,7 @@ pre-split monoliths (pinned by the registry equivalence tests).
 
 Solvers register once (module import time, see :mod:`repro.solvers.builtin`)
 with capability metadata; consumers address them by spec string —
-``haste-offline:c=4,lazy=1``, ``greedy-utility``, ``online-haste:tau=2`` —
+``haste-offline:c=4,smooth=0``, ``greedy-utility``, ``online-haste:tau=2`` —
 and get back a :class:`BoundSolver` that validates the parameters against
 the solver's declared set and stamps each result with the canonical spec,
 wall time, and (when enabled) the :mod:`repro.obs` counter delta.
@@ -89,8 +89,6 @@ class SolverCapabilities:
     setting: str  # "offline" | "online"
     deterministic: bool = False
     supports_colors: bool = False
-    supports_sparse: bool = False
-    supports_lazy: bool = False
     supports_utility: bool = False
     supports_shards: bool = False
     max_tasks: int | None = None
@@ -102,8 +100,6 @@ class SolverCapabilities:
             flags.append("deterministic")
         for attr, tag in (
             ("supports_colors", "colors"),
-            ("supports_sparse", "sparse"),
-            ("supports_lazy", "lazy"),
             ("supports_utility", "utility"),
             ("supports_shards", "shards"),
         ):

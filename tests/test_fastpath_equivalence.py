@@ -1,10 +1,11 @@
 """Seeded equivalence of the fast-path kernels against the reference path.
 
-The perf layer (sparse column-compressed kernels, lazy dirty-aware sweep,
-incremental sub-network restriction, shared masked objectives) must be a
-pure optimization: same seeds → same schedules and objective values as the
-dense/eager reference implementations it replaces.  These tests pin that on
-several random instances, offline (C ∈ {1, 4}) and online.
+The perf layer (column-compressed kernels, incremental sub-network
+restriction, shared masked objectives, the compiled negotiation kernels)
+must be a pure optimization: same seeds → same schedules and objective
+values as the plain formulations it replaces.  The dense full-width
+objective lives in ``tests/oracles``; these tests pin the program against
+it on several random instances.
 """
 
 from __future__ import annotations
@@ -18,11 +19,14 @@ from repro.offline.centralized import CentralizedScheduler
 from repro.online import run_online_haste
 from repro.sim import SimulationConfig, sample_network
 
+from oracles import DenseObjective
+
 SEEDS = [7, 19, 123]
 
 
-def make_net(seed: int):
-    return sample_network(SimulationConfig.quick(), np.random.default_rng(seed))
+def make_net(seed: int, config: SimulationConfig | None = None):
+    config = config if config is not None else SimulationConfig.quick()
+    return sample_network(config, np.random.default_rng(seed))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -30,8 +34,8 @@ def make_net(seed: int):
 class TestOfflineEquivalence:
     def test_same_schedule_and_value(self, seed, num_colors):
         net = make_net(seed)
-        ref = CentralizedScheduler(net, use_sparse=False).run(
-            num_colors, rng=np.random.default_rng(seed), lazy=False
+        ref = CentralizedScheduler(net, objective=DenseObjective(net)).run(
+            num_colors, rng=np.random.default_rng(seed)
         )
         opt = CentralizedScheduler(net).run(
             num_colors, rng=np.random.default_rng(seed)
@@ -40,79 +44,84 @@ class TestOfflineEquivalence:
         assert ref.objective_value == opt.objective_value
         assert ref.table == opt.table
 
-    def test_lazy_counters_account_for_every_visit(self, seed, num_colors):
-        net = make_net(seed)
-        opt = CentralizedScheduler(net).run(
-            num_colors, rng=np.random.default_rng(seed)
-        )
-        assert (
-            opt.fresh_scans + opt.cached_reuses + opt.pruned_skips
-            == opt.candidate_scans
-        )
-        assert opt.fresh_scans <= opt.candidate_scans
-        eager = CentralizedScheduler(net).run(
-            num_colors, rng=np.random.default_rng(seed), lazy=False
-        )
-        assert eager.fresh_scans == eager.candidate_scans
-        assert eager.cached_reuses == 0 and eager.pruned_skips == 0
+
+def _assert_gains_close(net, seed: int, slots_per_charger: int = 3) -> None:
+    """Partition gains agree with the oracle to rounding."""
+    sparse = HasteObjective(net)
+    dense = DenseObjective(net)
+    energies = np.random.default_rng(seed).uniform(0.0, 2000.0, size=(5, net.m))
+    rows = np.array([0, 2, 4])
+    for i in range(net.n):
+        if net.policy_count(i) <= 1:
+            continue
+        for k in net.relevant_slots(i)[:slots_per_charger]:
+            k = int(k)
+            np.testing.assert_allclose(
+                sparse.partition_gains(energies[0], i, k),
+                dense.partition_gains(energies[0], i, k),
+                rtol=1e-12,
+                atol=1e-15,
+            )
+            np.testing.assert_allclose(
+                sparse.partition_gains_rows(energies, rows, i, k),
+                dense.partition_gains_rows(energies, rows, i, k),
+                rtol=1e-12,
+                atol=1e-15,
+            )
+
+
+def _assert_energies_bit_identical(net, seed: int) -> None:
+    """Applies and whole-schedule energies equal the oracle's bit for bit."""
+    sparse = HasteObjective(net)
+    dense = DenseObjective(net)
+    e_sparse = sparse.zero_energy((3,))
+    e_dense = dense.zero_energy((3,))
+    rng = np.random.default_rng(seed)
+    rows = np.array([0, 2])
+    for i in range(net.n):
+        slots = net.relevant_slots(i)
+        if net.policy_count(i) <= 1 or slots.size == 0:
+            continue
+        k = int(slots[0])
+        p = int(rng.integers(1, net.policy_count(i)))
+        sparse.apply_rows(e_sparse, rows, i, k, p)
+        dense.apply_rows(e_dense, rows, i, k, p)
+        sparse.apply(e_sparse[1], i, k, p)
+        dense.apply(e_dense[1], i, k, p)
+    assert np.array_equal(e_sparse, e_dense)
+
+    res = CentralizedScheduler(net).run(1, rng=np.random.default_rng(seed))
+    assert np.array_equal(
+        sparse.energies_of_schedule(res.schedule),
+        dense.energies_of_schedule(res.schedule),
+    )
+    assert sparse.value_of_schedule(res.schedule) == dense.value_of_schedule(
+        res.schedule
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestSparseKernelEquivalence:
     def test_partition_gains_match_dense(self, seed):
-        net = make_net(seed)
-        sparse = HasteObjective(net)
-        dense = HasteObjective(net, use_sparse=False)
-        assert sparse.use_sparse and not dense.use_sparse
-        rng = np.random.default_rng(seed)
-        energies = rng.uniform(0.0, 2000.0, size=(5, net.m))
-        for i in range(net.n):
-            if net.policy_count(i) <= 1:
-                continue
-            for k in net.relevant_slots(i)[:3]:
-                k = int(k)
-                np.testing.assert_allclose(
-                    sparse.partition_gains(energies[0], i, k),
-                    dense.partition_gains(energies[0], i, k),
-                    rtol=1e-12,
-                    atol=1e-15,
-                )
-                rows = np.array([0, 2, 4])
-                np.testing.assert_allclose(
-                    sparse.partition_gains_rows(energies, rows, i, k),
-                    dense.partition_gains(energies[rows], i, k),
-                    rtol=1e-12,
-                    atol=1e-15,
-                )
+        _assert_gains_close(make_net(seed), seed)
 
     def test_apply_and_schedule_energy_bit_identical(self, seed):
-        net = make_net(seed)
-        sparse = HasteObjective(net)
-        dense = HasteObjective(net, use_sparse=False)
-        e_sparse = sparse.zero_energy((3,))
-        e_dense = dense.zero_energy((3,))
-        rng = np.random.default_rng(seed)
-        for i in range(net.n):
-            slots = net.relevant_slots(i)
-            if net.policy_count(i) <= 1 or slots.size == 0:
-                continue
-            k = int(slots[0])
-            p = int(rng.integers(1, net.policy_count(i)))
-            rows = np.array([0, 2])
-            sparse.apply_rows(e_sparse, rows, i, k, p)
-            dense.apply_rows(e_dense, rows, i, k, p)
-            sparse.apply(e_sparse[1], i, k, p)
-            dense.apply(e_dense[1], i, k, p)
-        assert np.array_equal(e_sparse, e_dense)
+        _assert_energies_bit_identical(make_net(seed), seed)
 
-        res = CentralizedScheduler(net).run(1, rng=np.random.default_rng(seed))
-        assert np.array_equal(
-            sparse.energies_of_schedule(res.schedule),
-            dense.energies_of_schedule(res.schedule),
-        )
-        assert sparse.value_of_schedule(res.schedule) == dense.value_of_schedule(
-            res.schedule
-        )
+
+class TestPaperScaleOracle:
+    """The kernels against the oracle at paper scale.
+
+    Schedules are not compared here: with 50 chargers and 200 tasks some
+    partitions hold policies of equal gain, and the rounding difference
+    between the ``|T_i|``-wide and ``m``-wide task sums breaks those ties
+    differently.  Gains must still agree to rounding, and energies exactly.
+    """
+
+    def test_gains_close_and_energies_bit_identical(self):
+        net = make_net(11, SimulationConfig.paper())
+        _assert_gains_close(net, 11, slots_per_charger=2)
+        _assert_energies_bit_identical(net, 11)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -166,16 +175,6 @@ class TestIncrementalRestriction:
 
 @pytest.mark.parametrize("seed", SEEDS)
 class TestOnlineEquivalence:
-    def test_arrival_trace_matches_reference(self, seed):
-        net = make_net(seed)
-        ref = run_online_haste(
-            net, rng=np.random.default_rng(seed), use_sparse=False
-        )
-        opt = run_online_haste(net, rng=np.random.default_rng(seed))
-        assert np.array_equal(ref.schedule.sel, opt.schedule.sel)
-        assert ref.total_utility == opt.total_utility
-        assert ref.events == opt.events
-
     def test_masked_view_matches_fresh_masked_objective(self, seed):
         net = make_net(seed)
         known = net.release_slots <= int(np.median(net.release_slots))

@@ -267,6 +267,21 @@ class TestConfigureAndSinks:
         obs.shutdown()
         assert path.exists()
 
+    def test_daemon_telemetry_keeps_a_bounded_record_count(self):
+        from repro.serve.daemon import TELEMETRY_RECORDS, configure_telemetry
+
+        reg = configure_telemetry()
+        (sink,) = reg.sinks
+        total = TELEMETRY_RECORDS + 100
+        for i in range(total):
+            obs.event("tick", i=i)
+        assert len(sink.records) == TELEMETRY_RECORDS
+        assert sink.records[0]["fields"]["i"] == total - TELEMETRY_RECORDS
+        assert sink.records[-1]["fields"]["i"] == total - 1
+        obs.shutdown()  # the summary record evicts the oldest tick
+        assert len(sink.records) == TELEMETRY_RECORDS
+        assert sink.records[-1]["kind"] == "summary"
+
 
 class TestWarnOnce:
     def test_fires_once_per_key(self):

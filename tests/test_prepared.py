@@ -50,14 +50,16 @@ class TestPreparedNetwork:
 
     def test_objective_and_scheduler_cached_per_key(self):
         prepared = prepare(Instance.sample(QUICK, 3), cached=False)
-        sparse = prepared.objective(use_sparse=True)
-        assert prepared.objective(use_sparse=True) is sparse
-        dense = prepared.objective(use_sparse=False)
-        assert dense is not sparse
-        assert dense.network is prepared.network
-        sched = prepared.scheduler(use_sparse=True)
-        assert prepared.scheduler(use_sparse=True) is sched
-        assert sched.objective is sparse
+        objective = prepared.objective()
+        assert prepared.objective() is objective
+        assert objective.network is prepared.network
+        log = prepared.objective(utility_family="log")
+        assert log is not objective
+        assert prepared.objective(utility_family="log") is log
+        sched = prepared.scheduler()
+        assert prepared.scheduler() is sched
+        assert sched.objective is objective
+        assert prepared.scheduler(utility_family="log").objective is log
 
     def test_utility_families_share_state_correctly(self):
         prepared = prepare(Instance.sample(QUICK, 4), cached=False)

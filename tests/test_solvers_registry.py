@@ -85,7 +85,15 @@ class TestSpecParsing:
         assert online.capabilities.supports_shards
 
     def test_shards_rejected_on_non_shard_solvers(self):
-        for spec in ("greedy-utility:shards=2", "static:shards=2", "random:halo=5"):
+        for spec in (
+            "greedy-utility:shards=2",
+            "static:shards=2",
+            "random:halo=5",
+            # Parameters no built-in solver accepts.
+            "haste-offline:lazy=1",
+            "haste-offline:sparse=0",
+            "online-haste:sparse=0",
+        ):
             with pytest.raises(SolverError) as exc:
                 get_solver(spec)
             msg = str(exc.value)
