@@ -102,10 +102,18 @@ class HasteObjective:
         # For the paper's linear-bounded utility the gain formula is inlined
         # in the hot kernel (same ufunc sequence, so bit-identical — just
         # without the per-call dispatch); other utilities go through
-        # ``UtilityFunction.gain``.
+        # ``UtilityFunction.gain``.  The required energies are bound at full
+        # ``(|T_i|,)`` length even for a scalar utility: the compiled
+        # kernels read one entry per receivable column.
         self._util_E = [
-            u.required_energy if type(u) is LinearBoundedUtility else None
-            for u in self._util_cols
+            (
+                u.required_energy
+                if u.required_energy.size == cols.size
+                else np.full(cols.size, u.required_energy[0])
+            )
+            if type(u) is LinearBoundedUtility
+            else None
+            for u, cols in zip(self._util_cols, self._cols)
         ]
         if task_mask is not None:
             mask = np.asarray(task_mask, dtype=bool)
@@ -308,19 +316,28 @@ class HasteObjective:
 
         ``start``/``stop`` restrict accounting to slots ``[start, stop)`` —
         the online runtime banks the energy of the already-fixed past this
-        way before planning the future.  Accumulates through the sparse
-        kernels: each non-idle slot adds ``|T_i|`` entries, not ``m``.
+        way before planning the future.  Per charger, the selected
+        policies' ``|T_i|``-wide slot-energy rows are gathered at once and
+        summed by a sequential ``cumsum`` seeded with the running energies:
+        the same additions, in the same order, as a per-slot ``+=`` loop.
         """
         net = self.network
         stop = net.num_slots if stop is None else min(stop, net.num_slots)
         energies = self.zero_energy()
         for i in range(net.n):
             sel = schedule.sel[i]
-            cols = self._cols[i]
-            if cols.size == 0:
+            slots = np.flatnonzero(sel[start:stop]) + start
+            if slots.size == 0:
                 continue
-            for k in np.flatnonzero(sel[start:stop]) + start:
-                energies[cols] += self.added_energy_cols(i, int(k))[sel[k]]
+            cols = self._cols[i]
+            block = np.empty((slots.size + 1, cols.size))
+            block[0] = energies[cols]
+            np.multiply(
+                self._sparse_energy[i][sel[slots]],
+                self._active_sub[i][:, slots].T,
+                out=block[1:],
+            )
+            energies[cols] = np.cumsum(block, axis=0)[-1]
         return energies
 
     def value_of_schedule(self, schedule: Schedule) -> float:

@@ -20,6 +20,10 @@ Implementation notes (performance-guide driven):
   returns the marginal of *every* policy against the matching sample rows
   at once (:meth:`repro.objective.haste.HasteObjective.partition_gains_rows`,
   which gathers only the ``(rows × receivable columns)`` block);
+* with the paper's linear-bounded utility and the compiled kernels loaded
+  (``online/_fastpath.c``), a scan is ``fill`` → ``np.matmul`` →
+  ``finish`` and a commit one ``fold`` — bit-identical to the numpy
+  expression, which stays the reference and the fallback;
 * partitions are visited in ``(slot, charger)`` order by default; the
   TabularGreedy guarantee is order-invariant (the paper leans on this for
   Thm 6.1), and the tests verify order invariance for ``C = 1``.
@@ -150,6 +154,42 @@ class CentralizedScheduler:
         )
         return result
 
+    def _compiled_kernels(self, num_samples: int) -> tuple:
+        """The compiled kernel module and its per-charger sweep bindings.
+
+        Returns ``(module, kernels)`` where ``kernels[i]`` is ``(cols, E,
+        w, tens, rg)`` — charger ``i``'s receivable columns, required
+        energies, column weights and reusable ``(S, P_i, |T_i|)`` /
+        ``(S, P_i)`` scratch buffers — or ``None`` where the NumPy loop
+        runs: no compiled kernel, an objective other than
+        :class:`HasteObjective` (the test oracles), a utility other than
+        the linear-bounded one, or a charger beyond the kernel's fixed
+        capacity.
+        """
+        # Read at run time: the negotiation owns the one kernel handle
+        # (importing it at module level would cycle offline → online), and
+        # tests switch the kernel off by patching that attribute.
+        from ..online import _ckernel, distributed
+
+        ck = distributed._C
+        objective = self.objective
+        n = self.network.n
+        if ck is None or not isinstance(objective, HasteObjective):
+            return ck, [None] * n
+        kernels: list = []
+        for i in range(n):
+            E = objective._util_E[i]
+            cols = objective._cols[i]
+            P, t = self.network.policy_count(i), cols.size
+            if E is None or not (
+                2 <= P <= _ckernel.FP_MAX_DIM and 0 < t <= _ckernel.FP_MAX_DIM
+            ):
+                kernels.append(None)
+                continue
+            tens, rg = np.empty((num_samples, P, t)), np.empty((num_samples, P))
+            kernels.append((cols, E, objective._w_cols[i], tens, rg))
+        return ck, kernels
+
     def _run(
         self,
         num_colors: int,
@@ -169,33 +209,60 @@ class CentralizedScheduler:
 
         sampler = ColorSampler(order, num_colors, num_samples, rng)
         S = sampler.num_samples
-        energies = self.objective.zero_energy((S,))  # (S, m)
+        objective = self.objective
+        energies = objective.zero_energy((S,))  # (S, m)
+        views = energies[None]  # the (receivers, S, m) layout fold takes
         matches = sampler.matches_by_color()
+        ck, kernels = self._compiled_kernels(S)
 
+        # Per partition: its charger's kernel bindings and, on the compiled
+        # path, its slot-energy block, looked up once for all colors.
+        plan = [
+            (i, k, kernels[i], None if kernels[i] is None
+             else objective.added_energy_cols(i, k))
+            for i, k in order
+        ]
         table: dict[tuple[int, int, int], int] = {}
+        # The same table as a (partition, color) array, idle where empty.
+        chosen = np.zeros((len(order), num_colors), dtype=np.int32)
         scans = 0
         for c in range(num_colors):
-            color_matches = matches[c]
             with obs.span("offline.color_sweep", color=c):
-                for g, (i, k) in enumerate(order):
-                    match = color_matches[g]
-                    if match.size == 0:
+                for g, rows in enumerate(matches[c]):
+                    i, k, kernel, add = plan[g]
+                    R = rows.size
+                    if R == 0:
                         continue
                     scans += 1
-                    gains = self.objective.partition_gains_rows(
-                        energies, match, i, k
-                    )
-                    total = gains.sum(axis=0) / S  # (P_i,)
-                    best_p = int(total.argmax())
-                    if best_p == IDLE_POLICY or total[best_p] <= MIN_GAIN:
+                    if kernel is not None:
+                        # fill = gather + clipped-utility difference, finish
+                        # = NumPy's sequential axis-0 sum and first-max
+                        # argmax; the BLAS-ordered task sum stays in NumPy.
+                        cols, E, w, tens, rg = kernel
+                        ck.fill(energies, tens[:R], rows, None, cols, add, E)
+                        np.matmul(tens[:R], w, out=rg[:R])
+                        best_p, best = ck.finish(rg[:R], S)
+                    else:
+                        gains = objective.partition_gains_rows(
+                            energies, rows, i, k
+                        )
+                        total = gains.sum(axis=0) / S  # (P_i,)
+                        best_p = int(total.argmax())
+                        best = total[best_p]
+                    if best_p == IDLE_POLICY or best <= MIN_GAIN:
                         continue
-                    table[(i, k, c)] = best_p
-                    self.objective.apply_rows(energies, match, i, k, best_p)
+                    table[(i, k, c)] = chosen[g, c] = best_p
+                    if kernel is not None:
+                        ck.fold(views, [0], rows, cols, add[best_p])
+                    else:
+                        objective.apply_rows(energies, rows, i, k, best_p)
 
         if final_draws < 1:
             raise ValueError(f"final_draws must be >= 1, got {final_draws}")
         best_schedule: Schedule | None = None
         best_value = -np.inf
+        part_i, part_k = np.array(order, dtype=np.intp).reshape(-1, 2).T
+        part_g = np.arange(len(order))
         with obs.span("offline.final_draws"):
             for _ in range(final_draws if num_colors > 1 else 1):
                 candidate = Schedule(self.network)
@@ -203,11 +270,8 @@ class CentralizedScheduler:
                 # per-partition scalar draws (the generator consumes the
                 # same stream).
                 draws = rng.integers(0, num_colors, size=len(order))
-                for (i, k), c in zip(order, draws):
-                    p = table.get((i, k, int(c)))
-                    if p is not None:
-                        candidate.set(i, k, p)
-                value = self.objective.value_of_schedule(candidate)
+                candidate.sel[part_i, part_k] = chosen[part_g, draws]
+                value = objective.value_of_schedule(candidate)
                 if value > best_value:
                     best_schedule, best_value = candidate, value
         assert best_schedule is not None

@@ -30,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from ..core.network import ChargerNetwork
 from ..core.policy import Schedule
@@ -79,6 +77,11 @@ def optimal_schedule(
     divide by.  With ``include_switching=True`` pass the switching delay
     ``rho`` (fraction of a slot).
     """
+    # Imported here, not at module level: scipy.optimize takes longer to
+    # import than the rest of the package, and only this solver needs it.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
     _require_linear_bounded(network)
     if include_switching and not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must be in [0, 1), got {rho}")

@@ -15,60 +15,28 @@ output — the pass is a pure Pareto move.
 
 The delta evaluation is incremental (per the optimization guides: compute
 less, not faster): changing ``sel[i, k]`` only perturbs charger ``i``'s
-energy contribution at slot ``k`` and the switch flag of its next non-idle
-slot, so each candidate costs ``O(m)`` instead of a full re-execution.
+energy on its receivable columns ``T_i`` at slot ``k`` and the switch flag
+of its next non-idle slot.  Smoothing only ever swaps one non-idle policy
+for another, so each charger's non-idle slot list is fixed for the whole
+pass and the previous/next non-idle slots are its neighbours in that list.
+Each candidate therefore costs ``O(|T_i|)`` plus one length-``m`` utility
+evaluation and dot — the same ``total(energies + delta)`` a full
+re-evaluation computes, so acceptances match it bit for bit.  The scalar
+formulation lives in ``tests/oracles/`` as the reference.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.network import IDLE_POLICY, ChargerNetwork
+from ..core.network import ChargerNetwork
 from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
+from ..sim.engine import ORIENTATION_TOL, switch_scan
 
 __all__ = ["smooth_switches"]
 
 _TOL = 1e-12
-
-
-def _charger_contribution(
-    network: ChargerNetwork,
-    i: int,
-    k: int,
-    policy: int,
-    switched: bool,
-    rho: float,
-    active: np.ndarray | None = None,
-) -> np.ndarray:
-    """Energy vector charger ``i`` delivers at slot ``k`` with ``policy``."""
-    if policy == IDLE_POLICY:
-        return np.zeros(network.m)
-    frac = (1.0 - rho) if switched else 1.0
-    act = network.active if active is None else active
-    mask = network.cover_masks[i][policy] & act[:, k]
-    out = np.zeros(network.m)
-    if frac > 0.0 and mask.any():
-        out[mask] = network.power[i][mask] * network.slot_seconds * frac
-    return out
-
-
-def _recompute_switches(
-    network: ChargerNetwork, schedule: Schedule, i: int
-) -> np.ndarray:
-    """Switch flags for one charger under the idle-keeps-orientation rule."""
-    K = network.num_slots
-    flags = np.zeros(K, dtype=bool)
-    orients = network.policy_orientations[i]
-    current = np.nan
-    for k in range(K):
-        p = schedule.sel[i, k]
-        if p == IDLE_POLICY:
-            continue
-        target = orients[p]
-        flags[k] = bool(np.isnan(current) or abs(target - current) > 1e-12)
-        current = target
-    return flags
 
 
 def smooth_switches(
@@ -97,78 +65,85 @@ def smooth_switches(
         return sched
 
     weights = network.weights
-    active = network.active
+    active = network.active_by_charger()  # (|T_i|, K) per charger
+    mask = None
     if task_mask is not None:
         mask = np.asarray(task_mask, dtype=bool)
         weights = np.where(mask, weights, 0.0)
-        active = active & mask[:, None]
-    # Current delay-aware per-task energies.
-    switch_flags = [
-        _recompute_switches(network, sched, i) for i in range(network.n)
-    ]
-    energies = np.zeros(network.m)
-    for i in range(network.n):
-        for k in np.flatnonzero(sched.sel[i]):
-            energies += _charger_contribution(
-                network,
-                i,
-                int(k),
-                int(sched.sel[i, k]),
-                bool(switch_flags[i][k]),
-                rho,
-                active,
-            )
+    slot_energy = network.sparse_policy_energy()
 
     def total(e: np.ndarray) -> float:
         return float(np.asarray(util(e)) @ weights)
 
+    # Per charger: its non-idle slots, their switch flags, its receivable
+    # columns and (masked) activity.  Current delay-aware per-task energies
+    # accumulate charger by charger, slots ascending: a sequential cumsum
+    # seeded with the running energies performs the per-slot additions.
+    chargers = []
+    energies = np.zeros(network.m)
+    for i in range(network.n):
+        sel = sched.sel[i]
+        slots, _, flags = switch_scan(network.policy_orientations[i], sel)
+        if slots.size == 0:
+            continue
+        cols = network.policy_tasks[i]
+        act = active[i] if mask is None else active[i] & mask[cols][:, None]
+        block = np.empty((slots.size + 1, cols.size))
+        block[0] = energies[cols]
+        np.multiply(slot_energy[i][sel[slots]], act[:, slots].T, out=block[1:])
+        block[1:] *= np.where(flags, 1.0 - rho, 1.0)[:, None]
+        energies[cols] = np.cumsum(block, axis=0)[-1]
+        chargers.append((i, slots, flags, cols, act))
+    current = total(energies)
+
     for _ in range(max_passes):
         improved = False
-        for i in range(network.n):
+        for i, slots, flags, cols, act in chargers:
+            sel = sched.sel[i]
             orients = network.policy_orientations[i]
-            for k in range(max(1, start_slot), network.num_slots):
-                if not switch_flags[i][k]:
+            se = slot_energy[i]
+
+            def contribution(k: int, policy: int, switched: bool) -> np.ndarray:
+                """Energy charger ``i`` delivers on ``cols`` at slot ``k``."""
+                frac = (1.0 - rho) if switched else 1.0
+                return se[policy] * act[:, k] * frac
+
+            # The first non-idle slot has no previous orientation to keep.
+            first = max(1, int(np.searchsorted(slots, max(1, start_slot))))
+            for q in range(first, slots.size):
+                if not flags[q]:
                     continue
-                p_old = int(sched.sel[i, k])
-                if p_old == IDLE_POLICY:
-                    continue
-                # Candidate: keep the previous slot's physical orientation by
-                # re-selecting the previous effective policy at slot k.
-                prev_nonidle = sched.sel[i, :k]
-                prev_idx = np.flatnonzero(prev_nonidle)
-                if prev_idx.size == 0:
-                    continue
-                p_new = int(sched.sel[i, int(prev_idx[-1])])
+                k = int(slots[q])
+                p_old = int(sel[k])
+                # Candidate: keep the previous non-idle slot's orientation
+                # by re-selecting its policy at slot k.
+                p_new = int(sel[slots[q - 1]])
                 if p_new == p_old:
                     continue
-
-                # Next non-idle slot of charger i after k: its switch flag
-                # may change when slot k's orientation changes.
-                later = np.flatnonzero(sched.sel[i, k + 1 :])
-                k_next = int(later[0]) + k + 1 if later.size else None
-
-                delta = np.zeros(network.m)
-                delta -= _charger_contribution(network, i, k, p_old, True, rho, active)
-                delta += _charger_contribution(network, i, k, p_new, False, rho, active)
-                if k_next is not None:
-                    p_next = int(sched.sel[i, k_next])
-                    old_next_switch = bool(switch_flags[i][k_next])
+                delta = contribution(k, p_new, False) - contribution(k, p_old, True)
+                # The next non-idle slot's switch flag may change with slot
+                # k's orientation.
+                has_next = q + 1 < slots.size
+                if has_next:
+                    k_next = int(slots[q + 1])
+                    p_next = int(sel[k_next])
+                    old_next_switch = bool(flags[q + 1])
                     new_next_switch = bool(
-                        abs(orients[p_next] - orients[p_new]) > 1e-12
+                        abs(orients[p_next] - orients[p_new]) > ORIENTATION_TOL
                     )
                     if old_next_switch != new_next_switch:
-                        delta -= _charger_contribution(
-                            network, i, k_next, p_next, old_next_switch, rho, active
-                        )
-                        delta += _charger_contribution(
-                            network, i, k_next, p_next, new_next_switch, rho, active
-                        )
+                        delta -= contribution(k_next, p_next, old_next_switch)
+                        delta += contribution(k_next, p_next, new_next_switch)
 
-                gain = total(energies + delta) - total(energies)
-                if gain > _TOL:
-                    sched.sel[i, k] = p_new
-                    energies += delta
-                    switch_flags[i] = _recompute_switches(network, sched, i)
+                candidate = energies.copy()
+                candidate[cols] += delta
+                candidate_total = total(candidate)
+                if candidate_total - current > _TOL:
+                    sel[k] = p_new
+                    energies, current = candidate, candidate_total
+                    flags[q] = False
+                    if has_next:
+                        flags[q + 1] = new_next_switch
                     improved = True
         if not improved:
             break

@@ -1,12 +1,15 @@
-"""Loader for the optional C negotiation kernels (``_fastpath.c``).
+"""Loader for the optional C gain kernels (``_fastpath.c``).
 
-The distributed negotiation's inner loop is dispatch-bound: millions of
-tiny tensor evaluations whose arithmetic is a few hundred flops each.
-``_fastpath.c`` collapses each evaluation into one C call.  The extension
-is compiled on first import with the system C compiler and cached next to
-the source; anything going wrong — no compiler, no headers, sandboxed
-filesystem — degrades silently to the pure-NumPy path, which remains the
-reference implementation (the equivalence tests compare the two).
+The distributed negotiation's inner loop and the offline TabularGreedy
+sweep are dispatch-bound: millions of tiny tensor evaluations whose
+arithmetic is a few hundred flops each.  ``_fastpath.c`` collapses each
+evaluation into one C call.  The extension is compiled on first import
+with the system C compiler and cached next to the source; anything going
+wrong — no compiler, no headers, sandboxed filesystem — degrades silently
+to the pure-NumPy path, which remains the reference implementation (the
+equivalence tests compare the two).  The negotiation module holds the one
+loaded handle (``repro.online.distributed._C``); the offline sweep reads
+it from there at run time.
 
 Set ``REPRO_DISABLE_CKERNEL=1`` to force the NumPy path (used by the
 tests to pin C-vs-NumPy protocol equivalence, and available as an escape
@@ -30,9 +33,13 @@ from pathlib import Path
 
 from .. import obs
 
-__all__ = ["load"]
+__all__ = ["FP_MAX_DIM", "load"]
 
 _SRC = Path(__file__).with_name("_fastpath.c")
+
+#: Largest policy or task-column count the kernels accept (``FP_MAX_DIM``
+#: in ``_fastpath.c``); callers run NumPy for anything larger.
+FP_MAX_DIM = 512
 
 
 def _build(so_path: Path) -> tuple[bool, str]:
@@ -75,8 +82,8 @@ def _fallback(reason: str) -> None:
     obs.warn_once(
         "ckernel.fallback",
         "repro.online._fastpath could not be compiled/loaded; the "
-        "negotiation runs on the (bit-identical, slower) pure-NumPy "
-        f"reference path.  Cause: {reason}",
+        "negotiation and the offline sweep run on the (bit-identical, "
+        f"slower) pure-NumPy reference path.  Cause: {reason}",
         reason=reason,
     )
 

@@ -1,17 +1,21 @@
-/* Optional C fast path for the distributed-negotiation inner loop.
+/* Optional C fast path for the linear-bounded gain kernels.
  *
- * The negotiation protocol evaluates millions of tiny (R x P x t)
- * marginal-gain tensors per online run (R = matched sample rows, P =
- * policies, t = receivable tasks; all of order 10).  At that size the
- * arithmetic is trivial and the cost is per-call NumPy dispatch, so the
- * hot operations are provided here as single C calls:
+ * The negotiation protocol and the offline TabularGreedy sweep evaluate
+ * millions of tiny (R x P x t) marginal-gain tensors per run (R =
+ * matched sample rows, P = policies, t = receivable tasks; all of order
+ * 10).  At that size the arithmetic is trivial and the cost is per-call
+ * NumPy dispatch, so the hot operations are provided here as single C
+ * calls.  The negotiation (distributed.py) uses all five; the offline
+ * sweep (offline/centralized.py) uses fill, finish and fold on its one
+ * (S, m) energy state.
  *
  *   fill(view, tens, rows, dirty, cols, add, E) -> None
  *     Refresh rows of the clipped-utility difference tensor
  *     ``tens[r, p, j] = min((e + a) / E, 1) - min(e / E, 1)`` from the
  *     agent's energy ``view`` — the gather plus element-wise stage of
  *     the linear-bounded gain kernel.  ``dirty`` selects row positions
- *     (None = all rows).
+ *     (None = all rows).  ``E`` and ``cols`` must hold one entry per
+ *     task column (ValueError otherwise).
  *
  *   finish(rg, total_samples) -> (best_policy, best_total)
  *     Column-sum the per-row gains, normalize, and take the first
@@ -33,7 +37,7 @@
  *     ``finish`` over a list of per-agent row-gain matrices.
  *
  * Numerical contract: every operation here is bit-for-bit identical to
- * the pure NumPy reference path in distributed.py.  Element-wise ops
+ * the pure NumPy reference paths in distributed.py and centralized.py.  Element-wise ops
  * (add, divide, clip, subtract) are the same IEEE-754 double ops; the
  * column sum replicates NumPy's sequential row accumulation for an
  * axis-0 reduction with >= 2 columns; and the weighted sum over tasks —
@@ -42,7 +46,7 @@
  * caller).  Compile with -ffp-contract=off so no FMA contraction changes
  * rounding; see _ckernel.py for the build and the fallback story.
  *
- * The callers in distributed.py own the argument contract: C-contiguous
+ * The callers own the argument contract: C-contiguous
  * float64 view/tens/rg/add/E/vals, C-contiguous intp rows/cols,
  * ``dirty`` a list of row positions or None, ``obs`` a list of receiver
  * indices.  Only cheap structural checks are repeated here.
@@ -77,6 +81,13 @@ fill_impl(PyObject *const *args)
     const npy_intp m = PyArray_DIM(view, 1);
     if (t > FP_MAX_DIM) {
         PyErr_SetString(PyExc_ValueError, "fill: too many task columns");
+        return -1;
+    }
+    /* E and cols are read once per task column. */
+    if (PyArray_NDIM(E) != 1 || PyArray_DIM(E, 0) != t
+        || PyArray_NDIM(cols) != 1 || PyArray_DIM(cols, 0) != t) {
+        PyErr_SetString(PyExc_ValueError,
+                        "fill: E and cols need one entry per task column");
         return -1;
     }
 
@@ -349,7 +360,7 @@ static PyMethodDef fastpath_methods[] = {
 
 static struct PyModuleDef fastpath_module = {
     PyModuleDef_HEAD_INIT, "_fastpath",
-    "C fast path for distributed-negotiation kernels.", -1,
+    "C fast path for the linear-bounded gain kernels.", -1,
     fastpath_methods,
 };
 

@@ -139,8 +139,8 @@ class ChargerAgent:
             if (
                 _C is not None
                 and self._cols_i.dtype == np.intp
-                and 2 <= num_policies <= 512
-                and 0 < self._cols_i.size <= 512
+                and 2 <= num_policies <= _ckernel.FP_MAX_DIM
+                and 0 < self._cols_i.size <= _ckernel.FP_MAX_DIM
             ):
                 # Compiled kernels: the gather/element-wise stage and the
                 # sum/argmax stage become one C call each; only the
@@ -548,14 +548,10 @@ def _negotiate_window(
     # Bulk-precompute every (partition, color) row match once per window —
     # identical to per-negotiation ``matching_samples`` lookups.
     group_index = {key: g for g, key in enumerate(part_keys)}
-    all_matches = sampler.matches_by_color()
     # Window-level precompute per (color, group): the rows as a native-int
     # index array, as a plain-int list (for bit tests), and as a bitmask —
     # every negotiation touching the group reuses them.
-    all_matches = [
-        [np.ascontiguousarray(rows, dtype=np.intp) for rows in per_color]
-        for per_color in all_matches
-    ]
+    all_matches = sampler.matches_by_color()
     row_lists = [
         [[int(r) for r in rows] for rows in per_color]
         for per_color in all_matches
@@ -856,10 +852,7 @@ def _negotiate_window_faulty(
     sampler = ColorSampler(part_keys, num_colors, num_samples, rng)
     S = sampler.num_samples
     group_index = {key: g for g, key in enumerate(part_keys)}
-    all_matches = [
-        [np.ascontiguousarray(rows, dtype=np.intp) for rows in per_color]
-        for per_color in sampler.matches_by_color()
-    ]
+    all_matches = sampler.matches_by_color()
     row_lists = [
         [[int(r) for r in rows] for rows in per_color]
         for per_color in all_matches

@@ -33,7 +33,17 @@ from ..core.network import IDLE_POLICY, ChargerNetwork
 from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
 
-__all__ = ["ExecutionResult", "orientation_trace", "execute_schedule"]
+__all__ = [
+    "ORIENTATION_TOL",
+    "ExecutionResult",
+    "switch_scan",
+    "orientation_trace",
+    "execute_schedule",
+]
+
+
+#: Orientations closer than this count as equal: no rotation, no delay.
+ORIENTATION_TOL = 1e-12
 
 
 @dataclass
@@ -77,6 +87,28 @@ class ExecutionResult:
         )
 
 
+def switch_scan(
+    orientations: np.ndarray, sel: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One charger's non-idle slots, their orientations and switch flags.
+
+    ``orientations`` is the charger's per-policy orientation vector and
+    ``sel`` its ``(K,)`` selection row.  Returns ``(slots, targets,
+    switched)`` over the non-idle slots in ascending order.  The rule:
+    an idle slot keeps the previous orientation, so each non-idle slot is
+    compared with the previous *non-idle* one; the first non-idle slot
+    always switches (the initial orientation is Φ); orientations within
+    :data:`ORIENTATION_TOL` count as equal.
+    """
+    slots = np.flatnonzero(sel != IDLE_POLICY)
+    targets = orientations[sel[slots]]
+    prev = np.empty_like(targets)
+    prev[:1] = np.nan
+    prev[1:] = targets[:-1]
+    switched = np.isnan(prev) | (np.abs(targets - prev) > ORIENTATION_TOL)
+    return slots, targets, switched
+
+
 def orientation_trace(network: ChargerNetwork, schedule: Schedule) -> np.ndarray:
     """Physical orientation of every charger at every slot, ``(n, K)``.
 
@@ -86,13 +118,13 @@ def orientation_trace(network: ChargerNetwork, schedule: Schedule) -> np.ndarray
     n, K = network.n, network.num_slots
     trace = np.full((n, K), np.nan)
     for i in range(n):
-        current = np.nan
-        orients = network.policy_orientations[i]
-        for k in range(K):
-            p = schedule.sel[i, k]
-            if p != IDLE_POLICY:
-                current = orients[p]
-            trace[i, k] = current
+        slots, targets, _ = switch_scan(
+            network.policy_orientations[i], schedule.sel[i]
+        )
+        if slots.size:
+            # Position of the latest non-idle slot at or before each slot.
+            last = np.searchsorted(slots, np.arange(K), side="right") - 1
+            trace[i] = np.where(last >= 0, targets[last], np.nan)
     return trace
 
 
@@ -109,51 +141,51 @@ def execute_schedule(
     (0, 1); ρ = 1 means a rotating charger loses the entire slot, the upper
     end of the paper's Fig. 6/14 sweeps).
 
-    When :mod:`repro.obs` is enabled each execution is traced as a
-    ``sim.execute`` span (the ρ = 0 relaxed-value re-run nests inside
-    its parent's span) and the executed non-idle charger-slots are
-    counted — one fold per execution, nothing per slot.
+    Each charger's non-idle slots are accounted at once on its receivable
+    columns: one row of slot energy per non-idle slot, scaled by ``1 − ρ``
+    where the charger switched, summed by a sequential ``cumsum`` — the
+    same additions, in the same order, as a per-slot loop.  The relaxed
+    (``ρ = 0``) value comes from the unscaled rows of the same pass.
+
+    When :mod:`repro.obs` is enabled each execution is traced as one
+    ``sim.execute`` span and counted once, with its non-idle
+    charger-slots and switches — nothing per slot.
     """
     if not (0.0 <= rho <= 1.0):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     util = utility if utility is not None else network.utility
     n, m, K = network.n, network.m, network.num_slots
     delivered = np.zeros((n, m))
+    relaxed_delivered = np.zeros((n, m))  # the ρ = 0 ledger, kept when ρ > 0
     switches = np.zeros((n, K), dtype=bool)
-    ts = network.slot_seconds
+    slot_energy = network.sparse_policy_energy()
+    active = network.active_by_charger()
 
     with obs.span("sim.execute", rho=rho):
         for i in range(n):
-            orients = network.policy_orientations[i]
-            cover = network.cover_masks[i]
-            power = network.power[i]
-            current = np.nan
             sel = schedule.sel[i]
-            for k in range(K):
-                p = sel[k]
-                if p == IDLE_POLICY:
-                    continue
-                target = orients[p]
-                switched = np.isnan(current) or abs(target - current) > 1e-12
-                switches[i, k] = switched
-                current = target
-                frac = (1.0 - rho) if switched else 1.0
-                if frac <= 0.0:
-                    continue
-                mask = cover[p] & network.active[:, k]
-                if mask.any():
-                    delivered[i, mask] += power[mask] * ts * frac
+            slots, _, switched = switch_scan(network.policy_orientations[i], sel)
+            if slots.size == 0:
+                continue
+            switches[i, slots] = switched
+            cols = network.policy_tasks[i]
+            # (slots, |T_i|): what each non-idle slot delivers without delay.
+            rows = slot_energy[i][sel[slots]] * active[i][:, slots].T
+            if rho != 0.0:
+                relaxed_delivered[i, cols] = np.cumsum(rows, axis=0)[-1]
+                rows = rows * np.where(switched, 1.0 - rho, 1.0)[:, None]
+            delivered[i, cols] = np.cumsum(rows, axis=0)[-1]
 
         energies = delivered.sum(axis=0)
         task_utilities = np.asarray(util(energies), dtype=float)
         total = float(task_utilities @ network.weights)
-
         if rho == 0.0:
             relaxed = total
         else:
-            relaxed = execute_schedule(
-                network, schedule, rho=0.0, utility=utility
-            ).total_utility
+            relaxed_energies = relaxed_delivered.sum(axis=0)
+            relaxed = float(
+                np.asarray(util(relaxed_energies), dtype=float) @ network.weights
+            )
 
     if obs.enabled():
         obs.inc("sim.executions")

@@ -83,20 +83,21 @@ class ColorSampler:
         ``g``-th group equals color ``c`` — identical to
         ``matching_samples(group_keys[g], c)``.  One stable argsort over the
         color matrix replaces the per-visit ``flatnonzero`` calls of a sweep
-        (``C × #groups`` of them), which matters at paper scale.
+        (``C × #groups`` of them), which matters at paper scale.  The sort
+        runs per group along a row of the transposed matrix, so every row
+        set is a C-contiguous ``intp`` slice — the layout the compiled
+        kernels take as is.
         """
-        order = np.argsort(self.colors, axis=0, kind="stable")  # (S, G)
+        order = np.argsort(self.colors.T, axis=1, kind="stable")  # (G, S)
         num_groups = len(self.group_keys)
         counts = np.empty((self.num_colors, num_groups), dtype=np.intp)
         for c in range(self.num_colors):
             counts[c] = (self.colors == c).sum(axis=0)
-        starts = np.zeros_like(counts)
-        starts[1:] = np.cumsum(counts, axis=0)[:-1]
+        ends = np.cumsum(counts, axis=0)
+        starts, ends = (ends - counts).tolist(), ends.tolist()
+        per_group = list(order)
         return [
-            [
-                order[starts[c, g] : starts[c, g] + counts[c, g], g]
-                for g in range(num_groups)
-            ]
+            [row[a:b] for row, a, b in zip(per_group, starts[c], ends[c])]
             for c in range(self.num_colors)
         ]
 

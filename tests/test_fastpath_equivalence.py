@@ -1,25 +1,39 @@
 """Seeded equivalence of the fast-path kernels against the reference path.
 
 The perf layer (column-compressed kernels, incremental sub-network
-restriction, shared masked objectives, the compiled negotiation kernels)
-must be a pure optimization: same seeds → same schedules and objective
-values as the plain formulations it replaces.  The dense full-width
-objective lives in ``tests/oracles``; these tests pin the program against
-it on several random instances.
+restriction, shared masked objectives, the compiled sweep and negotiation
+kernels, column-compressed smoothing and execution) must be a pure
+optimization: same seeds → same schedules and objective values as the
+plain formulations it replaces.  The dense full-width objective and the
+scalar smoothing and execution passes live in ``tests/oracles``; these
+tests pin the program against them on several random instances.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from repro.core import ChargerNetwork, LinearBoundedUtility
 from repro.core.policy import network_fingerprint
+from repro.core.utility import LogUtility, PowerLawUtility
 from repro.objective import HasteObjective
+from repro.offline import greedy_cover_schedule, greedy_utility_schedule
 from repro.offline.centralized import CentralizedScheduler
+from repro.offline.smoothing import smooth_switches
 from repro.online import run_online_haste
 from repro.sim import SimulationConfig, sample_network
+from repro.sim.engine import ExecutionResult, execute_schedule, orientation_trace
+from repro.solvers import Instance, solve_instance
 
 from oracles import DenseObjective
+from oracles import engine as ref_engine
+from oracles import smoothing as ref_smoothing
 
 SEEDS = [7, 19, 123]
 
@@ -195,6 +209,163 @@ class TestOnlineEquivalence:
             )
 
 
+def _haste_schedules(net, seed: int) -> list:
+    """HASTE C=1 and C=4 plus greedy-utility schedules of one network."""
+    return [
+        CentralizedScheduler(net).run(c, rng=np.random.default_rng(seed)).schedule
+        for c in (1, 4)
+    ] + [greedy_utility_schedule(net)]
+
+
+def _smoothing_options(net) -> list[dict]:
+    """Plain, log and power-law scoring, and a task mask with a start slot."""
+    boundary = int(np.median(net.release_slots))
+    return [
+        {},
+        {"utility": LogUtility(net.required_energy)},
+        {"utility": PowerLawUtility(net.required_energy, gamma=0.5)},
+        {"task_mask": net.release_slots <= boundary, "start_slot": boundary},
+    ]
+
+
+def _assert_smoothing_matches(net, schedules, cases) -> int:
+    """Same selections as the scalar pass; returns how many cases smoothed."""
+    changed = 0
+    for sched in schedules:
+        for rho, kwargs in cases:
+            got = smooth_switches(net, sched, rho=rho, **kwargs)
+            ref = ref_smoothing.smooth_switches(net, sched, rho=rho, **kwargs)
+            assert np.array_equal(got.sel, ref.sel), (rho, sorted(kwargs))
+            changed += not np.array_equal(got.sel, sched.sel)
+    return changed
+
+
+class TestSmoothingOracle:
+    """Column-compressed smoothing selects exactly what the scalar pass does."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_quick_scale(self, seed):
+        net = make_net(seed)
+        cases = [
+            (rho, kwargs)
+            for rho in (1 / 12, 0.5, 1.0)
+            for kwargs in _smoothing_options(net)
+        ]
+        _assert_smoothing_matches(net, _haste_schedules(net, seed), cases)
+
+    def test_paper_scale(self):
+        net = make_net(11, SimulationConfig.paper())
+        plain, log, _power, masked = _smoothing_options(net)
+        cases = [(1 / 12, plain), (1.0, plain), (1 / 12, log), (0.5, masked)]
+        schedules = _haste_schedules(net, 11)[1:]
+        assert _assert_smoothing_matches(net, schedules, cases) > 0
+
+
+def _bits(value) -> tuple:
+    arr = np.asarray(value)
+    return arr.dtype.str, arr.shape, arr.tobytes()
+
+
+def _assert_executions_match(net, schedules) -> None:
+    """Every ExecutionResult field equals the scalar executor's, bit for bit."""
+    fields = [f.name for f in dataclasses.fields(ExecutionResult)]
+    for sched in schedules:
+        trace = orientation_trace(net, sched)
+        assert _bits(trace) == _bits(ref_engine.orientation_trace(net, sched))
+        for rho in (0.0, 1 / 12, 1.0):
+            for util in (None, LogUtility(net.required_energy)):
+                got = execute_schedule(net, sched, rho=rho, utility=util)
+                ref = ref_engine.execute_schedule(net, sched, rho=rho, utility=util)
+                for name in fields:
+                    assert _bits(getattr(got, name)) == _bits(getattr(ref, name)), (
+                        name, rho, util,
+                    )
+
+
+class TestExecutionOracle:
+    """The column-compressed executor against the per-slot scalar one."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_quick_scale(self, seed):
+        net = make_net(seed)
+        schedules = [
+            CentralizedScheduler(net).run(4, rng=np.random.default_rng(seed)).schedule,
+            greedy_utility_schedule(net),
+            greedy_cover_schedule(net),
+        ]
+        _assert_executions_match(net, schedules)
+
+    def test_paper_scale(self):
+        net = make_net(11, SimulationConfig.paper())
+        schedules = [
+            CentralizedScheduler(net).run(4, rng=np.random.default_rng(11)).schedule,
+            greedy_cover_schedule(net),
+        ]
+        _assert_executions_match(net, schedules)
+
+
+def _assert_sweeps_match(net, num_colors: int, seed: int, monkeypatch) -> None:
+    """The compiled sweep against the NumPy sweep on one network."""
+    from repro.online import distributed
+
+    kernel = distributed._C
+    opt = CentralizedScheduler(net).run(num_colors, rng=np.random.default_rng(seed))
+    monkeypatch.setattr(distributed, "_C", None)
+    ref = CentralizedScheduler(net).run(num_colors, rng=np.random.default_rng(seed))
+    monkeypatch.setattr(distributed, "_C", kernel)
+    assert opt.table == ref.table
+    assert np.array_equal(opt.schedule.sel, ref.schedule.sel)
+    assert opt.objective_value == ref.objective_value
+    assert opt.candidate_scans == ref.candidate_scans
+
+
+class _NoKernel:
+    """Stands in for the compiled module; any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"compiled kernel {name!r} used")
+
+
+class TestSweepPaths:
+    def test_log_utility_takes_numpy_sweep(self, monkeypatch):
+        from repro.online import distributed
+
+        net = make_net(7)
+        util = LogUtility(net.required_energy)
+        ref = CentralizedScheduler(net, utility=util).run(
+            4, rng=np.random.default_rng(7)
+        )
+        monkeypatch.setattr(distributed, "_C", _NoKernel())
+        got = CentralizedScheduler(net, utility=util).run(
+            4, rng=np.random.default_rng(7)
+        )
+        assert got.table == ref.table
+        assert got.objective_value == ref.objective_value
+
+    def test_disabled_kernel_subprocess_same_hash(self):
+        """``REPRO_DISABLE_CKERNEL=1`` in a fresh interpreter: same artifact."""
+        inst = Instance.sample(SimulationConfig.quick(), 5)
+        expected = solve_instance("haste-offline:c=4", inst).content_hash()
+        code = (
+            "from repro.online import distributed\n"
+            "from repro.sim import SimulationConfig\n"
+            "from repro.solvers import Instance, solve_instance\n"
+            "assert distributed._C is None\n"
+            "inst = Instance.sample(SimulationConfig.quick(), 5)\n"
+            "print(solve_instance('haste-offline:c=4', inst).content_hash())\n"
+        )
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ)
+        env["REPRO_DISABLE_CKERNEL"] = "1"
+        env["PYTHONPATH"] = os.path.join(repo, "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == expected
+
+
 needs_ckernel = pytest.mark.skipif(
     __import__("repro.online.distributed", fromlist=["_C"])._C is None,
     reason="compiled negotiation kernels unavailable",
@@ -259,6 +430,32 @@ class TestCKernelBitwise:
         ref[obs[:, None, None], rows[None, :, None], cols[None, None, :]] += vals
         assert np.array_equal(views, ref)
 
+    def test_fill_rejects_short_required_energy(self):
+        from repro.online import distributed
+
+        view = np.zeros((4, 10))
+        tens = np.empty((2, 3, 5))
+        rows = np.array([0, 2], dtype=np.intp)
+        cols = np.arange(5, dtype=np.intp)
+        add = np.ones((3, 5))
+        with pytest.raises(ValueError, match="one entry per task column"):
+            distributed._C.fill(view, tens, rows, None, cols, add, np.ones(1))
+
+
+@needs_ckernel
+class TestCompiledSweep:
+    """Same seeds → same sweep with and without the compiled kernels."""
+
+    @pytest.mark.parametrize("num_colors", [1, 4])
+    def test_quick_scale(self, num_colors, monkeypatch):
+        for seed in SEEDS:
+            _assert_sweeps_match(make_net(seed), num_colors, seed, monkeypatch)
+
+    @pytest.mark.parametrize("num_colors", [1, 4])
+    def test_paper_scale(self, num_colors, monkeypatch):
+        net = make_net(11, SimulationConfig.paper())
+        _assert_sweeps_match(net, num_colors, 11, monkeypatch)
+
 
 @needs_ckernel
 @pytest.mark.parametrize("seed", SEEDS)
@@ -294,3 +491,20 @@ class TestCKernelProtocolEquivalence:
         assert np.array_equal(ref.schedule.sel, opt.schedule.sel)
         assert ref.total_utility == opt.total_utility
         assert ref.stats == opt.stats
+
+    def test_scalar_required_energy_identical_without_c(self, seed, monkeypatch):
+        """A network-wide scalar required energy reaches the kernels at full
+        length (one entry per receivable column)."""
+        from repro.online import distributed
+
+        base = make_net(seed)
+        net = ChargerNetwork(
+            base.chargers, base.tasks, power_model=base.power_model,
+            slot_seconds=base.slot_seconds,
+            utility=LinearBoundedUtility(8000.0),
+        )
+        opt = run_online_haste(net, rng=np.random.default_rng(1))
+        monkeypatch.setattr(distributed, "_C", None)
+        ref = run_online_haste(net, rng=np.random.default_rng(1))
+        assert np.array_equal(ref.schedule.sel, opt.schedule.sel)
+        assert ref.total_utility == opt.total_utility

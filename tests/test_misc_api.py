@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 
 from repro.core import SlotGrid
@@ -23,6 +27,18 @@ class TestColorSamplerColumn:
         assert col.shape == (20,)
         for c in range(3):
             assert set(np.flatnonzero(col == c)) == set(s.matching_samples("a", c))
+
+    def test_matches_by_color_rows_are_contiguous_lookups(self):
+        """Bulk rows equal the per-group lookups, as the compiled kernels
+        take them: C-contiguous, native-int, ascending."""
+        keys = [("g", j) for j in range(7)]
+        s = ColorSampler(keys, 3, 20, np.random.default_rng(1))
+        matches = s.matches_by_color()
+        for c in range(3):
+            for g, key in enumerate(keys):
+                rows = matches[c][g]
+                assert np.array_equal(rows, s.matching_samples(key, c))
+                assert rows.dtype == np.intp and rows.flags.c_contiguous
 
 
 class TestSlotGridIteration:
@@ -91,3 +107,21 @@ class TestOptimalSummaries:
         res = brute_force_optimal(tiny_network)
         assert res.status == "brute force"
         assert "HASTE-R" in res.summary()
+
+
+class TestImportCost:
+    def test_import_leaves_scipy_unloaded(self):
+        """Only the exact MILP needs scipy; ``import repro`` must not pay
+        for it."""
+        code = (
+            "import sys, repro\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(repo, "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -360,6 +360,33 @@ class TestSchedulerIntegration:
         assert snap["offline.runs"] == 1
         assert reg.span_paths()[("offline.run", "offline.color_sweep")][0] == 2
 
+    def test_execution_counted_once(self):
+        """A ρ > 0 execution also reports its ρ = 0 value; that is still one
+        execution, in the counters and in the spans."""
+        from repro.offline import CentralizedScheduler
+        from repro.offline.batched import execute_schedule_batch
+        from repro.sim.engine import execute_schedule
+
+        net = build_network(5, n=3, m=8, horizon=5)
+        sched = CentralizedScheduler(net).run(
+            2, num_samples=8, rng=np.random.default_rng(1)
+        ).schedule
+        reg = obs.configure()
+        ex = execute_schedule(net, sched, rho=1 / 12)
+        assert ex.switch_count > 0
+        snap = reg.snapshot()["counters"]
+        assert snap["sim.executions"] == 1
+        assert snap["sim.charger_slots"] == np.count_nonzero(sched.sel)
+        assert snap["sim.switches"] == ex.switch_count
+        assert reg.histogram("span.sim.execute").count == 1
+
+        reg = obs.configure()
+        execute_schedule_batch([net, net], [sched, sched], rhos=[1 / 12, 0.5])
+        snap = reg.snapshot()["counters"]
+        assert snap["sim.executions"] == 2
+        assert snap["sim.switches"] == 2 * ex.switch_count
+        assert reg.histogram("span.sim.execute").count == 2
+
     def test_untraced_runs_are_unaffected(self):
         """Identical results with tracing on and off (observer effect)."""
         from repro.online import run_online_haste
