@@ -9,10 +9,9 @@ Runs under whichever kernel mode the environment selects
    (``content_hash``) to a sequential :func:`solve_instance` loop, for
    every solver with a batched kernel *and* for a fallback solver
    without one (the sequential-loop fallback must also be exact);
-2. **batched advertisement** — ``online-haste`` (whose negotiation
-   advertisement phase batches across agents through the C kernel's
-   ``fill_batch``/``finish_batch`` in compiled mode) must reproduce the
-   pinned per-agent digests;
+2. **online replay** — ``online-haste`` (whose synchronous negotiation
+   runs one ``negotiate_slot`` call of the C kernel per slot in compiled
+   mode) must replay to the same artifact on the same instance;
 3. **batched beats sequential** — the best-of-N batched pass over warm
    prepared state must beat the best-of-N sequential loop on sustained
    instances/sec.
@@ -62,7 +61,7 @@ def check_loop_equivalence() -> None:
         print(f"  {spec}: batch of {len(instances)} bit-identical")
 
 
-def check_online_advertisement() -> None:
+def check_online_replay() -> None:
     from repro.solvers import solve_instance
 
     instances = _ragged_batch()[:3]
@@ -71,7 +70,7 @@ def check_online_advertisement() -> None:
         b = solve_instance("online-haste", inst)
         if a.content_hash() != b.content_hash():
             raise AssertionError("online-haste replay not deterministic")
-    print(f"  online-haste: batched advertisement deterministic "
+    print(f"  online-haste: replay deterministic "
           f"({len(instances)} instances)")
 
 
@@ -130,8 +129,8 @@ def main() -> int:
     print(f"batch smoke (kernel mode: {mode})")
     print("[1/3] loop equivalence on a pinned ragged batch")
     check_loop_equivalence()
-    print("[2/3] batched negotiation advertisement (online-haste)")
-    check_online_advertisement()
+    print("[2/3] online negotiation replay (online-haste)")
+    check_online_replay()
     print("[3/3] batched beats sequential throughput")
     check_batched_beats_sequential()
     print("batch smoke: PASS")

@@ -5,9 +5,11 @@
  * matched sample rows, P = policies, t = receivable tasks; all of order
  * 10).  At that size the arithmetic is trivial and the cost is per-call
  * NumPy dispatch, so the hot operations are provided here as single C
- * calls.  The negotiation (distributed.py) uses all five; the offline
- * sweep (offline/centralized.py) uses fill, finish and fold on its one
- * (S, m) energy state.
+ * calls.  The offline sweep (offline/centralized.py) uses fill, finish
+ * and fold on its one (S, m) energy state; the synchronous lossless
+ * negotiation (distributed.py) runs one negotiate_slot call per slot; the
+ * per-agent proposal refresh of the asynchronous and fault-injected
+ * negotiation loops uses fill and finish.
  *
  *   fill(view, tens, rows, dirty, cols, add, E) -> None
  *     Refresh rows of the clipped-utility difference tensor
@@ -26,15 +28,24 @@
  *     (receiver, sample-row, task-column) block of the stacked (n, S, m)
  *     views array.
  *
- *   fill_batch(jobs) -> None
- *     Run ``fill`` for a whole advertisement round in one call: ``jobs``
- *     is a list of 7-tuples, each holding one agent's ``fill`` argument
- *     vector.  Per-agent results are identical to per-agent ``fill``
- *     calls (agents touch disjoint tensors), this just amortizes the
- *     Python call overhead across the window's agents.
- *
- *   finish_batch(rgs, total_samples) -> list[(best_policy, best_total)]
- *     ``finish`` over a list of per-agent row-gain matrices.
+ *   negotiate_slot(window, slot, active, groups, adds, table, commit_rounds)
+ *       -> (messages, broadcasts, rounds, negotiations, evals, hits)
+ *     Every colour's synchronous lossless negotiation of one slot, round
+ *     by round, exactly as the Python loop of distributed.py runs it:
+ *     the proposal cache with its dirty rows, advertisement and
+ *     withdrawal, the local-max commit test (ties to the lower ID), the
+ *     UPD folds in ascending winner order with cache invalidation, and the
+ *     counts.  Each commit is written into ``table`` (``(charger, slot,
+ *     color) -> policy``) and its round appended to ``commit_rounds``; the
+ *     returned tuple holds the MessageStats deltas and the proposal
+ *     evaluations and cache hits.  ``window`` is the tuple
+ *     ``_slot_window`` in distributed.py binds once per window (views,
+ *     colour draws, per-charger kernel bindings, neighbour lists, the
+ *     receivable-column masks and ``np.matmul``); ``active`` lists
+ *     the slot's participants in ascending order, ``groups`` their
+ *     colour-draw columns and ``adds`` their (P, t) slot-energy blocks.
+ *     Raises RuntimeError on a round without a winner (livelock), with
+ *     the Python loop's message.
  *
  * Numerical contract: every operation here is bit-for-bit identical to
  * the pure NumPy reference paths in distributed.py and centralized.py.  Element-wise ops
@@ -43,8 +54,10 @@
  * axis-0 reduction with >= 2 columns; and the weighted sum over tasks —
  * whose BLAS-blocked ordering is not reproducible in portable C — is
  * deliberately left to NumPy (``np.matmul(tens, w, out=rg)`` in the
- * caller).  Compile with -ffp-contract=off so no FMA contraction changes
- * rounding; see _ckernel.py for the build and the fallback story.
+ * caller; negotiate_slot calls back into the ``np.matmul`` its window
+ * binds, with the same operands).  Compile with -ffp-contract=off so no
+ * FMA contraction changes rounding; see _ckernel.py for the build and the
+ * fallback story.
  *
  * The callers own the argument contract: C-contiguous
  * float64 view/tens/rg/add/E/vals, C-contiguous intp rows/cols,
@@ -62,11 +75,86 @@
  * instances larger than this (never hit by the paper's scales). */
 #define FP_MAX_DIM 512
 
-/* Core of fill(); `args` is the 7-element argument vector.  Returns 0 on
- * success, -1 with a Python exception set on failure. */
-static int
-fill_impl(PyObject *const *args)
+/* distributed.MIN_GAIN: proposals at or below it withdraw. */
+#define MIN_GAIN 1e-12
+
+/* One row of the difference tensor: ``trow`` (P x t) from the energy row
+ * ``vrow`` (full width m, read at ``cols``). */
+static void
+fill_row(const double *vrow, const npy_intp *cols, npy_intp t,
+         const double *add, npy_intp P, const double *E, double *trow)
 {
+    double ev[FP_MAX_DIM];   /* current energy per column */
+    double base[FP_MAX_DIM]; /* min(e / E, 1) per column  */
+    for (npy_intp j = 0; j < t; j++) {
+        const double e = vrow[cols[j]];
+        const double b = e / E[j];
+        ev[j] = e;
+        base[j] = b > 1.0 ? 1.0 : b;
+    }
+    for (npy_intp p = 0; p < P; p++) {
+        const double *ap = add + p * t;
+        double *tp = trow + p * t;
+        for (npy_intp j = 0; j < t; j++) {
+            double x = (ev[j] + ap[j]) / E[j];
+            if (x > 1.0) {
+                x = 1.0;
+            }
+            tp[j] = x - base[j];
+        }
+    }
+}
+
+/* NumPy's axis-0 reduction over a C-contiguous (R, P>=2) array is a
+ * sequential row accumulation — replicated exactly here — followed by
+ * the normalization and np.argmax's first maximum. */
+static void
+finish_rows(const double *rg, npy_intp R, npy_intp P, double total_samples,
+            npy_intp *best, double *best_v)
+{
+    double total[FP_MAX_DIM];
+    for (npy_intp p = 0; p < P; p++) {
+        total[p] = 0.0;
+    }
+    for (npy_intp r = 0; r < R; r++) {
+        const double *rgr = rg + r * P;
+        for (npy_intp p = 0; p < P; p++) {
+            total[p] += rgr[p];
+        }
+    }
+    npy_intp win = 0;
+    double win_v = total[0] / total_samples;
+    for (npy_intp p = 1; p < P; p++) {
+        const double v = total[p] / total_samples;
+        if (v > win_v) {
+            win_v = v;
+            win = p;
+        }
+    }
+    *best = win;
+    *best_v = win_v;
+}
+
+/* views[rows, cols] += vals on one receiver's (S, m) view. */
+static void
+fold_block(double *view, npy_intp m, const npy_intp *rows, npy_intp R,
+           const npy_intp *cols, npy_intp t, const double *vals)
+{
+    for (npy_intp r = 0; r < R; r++) {
+        double *vrow = view + rows[r] * m;
+        for (npy_intp j = 0; j < t; j++) {
+            vrow[cols[j]] += vals[j];
+        }
+    }
+}
+
+static PyObject *
+fastpath_fill(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "fill expects 7 arguments");
+        return NULL;
+    }
     PyArrayObject *view = (PyArrayObject *)args[0];
     PyArrayObject *tens = (PyArrayObject *)args[1];
     PyArrayObject *rows = (PyArrayObject *)args[2];
@@ -81,14 +169,14 @@ fill_impl(PyObject *const *args)
     const npy_intp m = PyArray_DIM(view, 1);
     if (t > FP_MAX_DIM) {
         PyErr_SetString(PyExc_ValueError, "fill: too many task columns");
-        return -1;
+        return NULL;
     }
     /* E and cols are read once per task column. */
     if (PyArray_NDIM(E) != 1 || PyArray_DIM(E, 0) != t
         || PyArray_NDIM(cols) != 1 || PyArray_DIM(cols, 0) != t) {
         PyErr_SetString(PyExc_ValueError,
                         "fill: E and cols need one entry per task column");
-        return -1;
+        return NULL;
     }
 
     const double *view_d = (const double *)PyArray_DATA(view);
@@ -98,9 +186,6 @@ fill_impl(PyObject *const *args)
     const double *add_d = (const double *)PyArray_DATA(add);
     const double *E_d = (const double *)PyArray_DATA(E);
 
-    double ev[FP_MAX_DIM];   /* current energy per column */
-    double base[FP_MAX_DIM]; /* min(e / E, 1) per column  */
-
     npy_intp n_refresh;
     PyObject **dirty_items = NULL;
     if (dirty == Py_None) {
@@ -108,7 +193,7 @@ fill_impl(PyObject *const *args)
     } else {
         if (!PyList_Check(dirty)) {
             PyErr_SetString(PyExc_TypeError, "fill: dirty must be list|None");
-            return -1;
+            return NULL;
         }
         n_refresh = PyList_GET_SIZE(dirty);
         dirty_items = ((PyListObject *)dirty)->ob_item;
@@ -121,117 +206,16 @@ fill_impl(PyObject *const *args)
             r = PyLong_AsSsize_t(dirty_items[d]);
             if (r < 0 || r >= R) {
                 if (PyErr_Occurred()) {
-                    return -1;
+                    return NULL;
                 }
                 PyErr_SetString(PyExc_IndexError, "fill: dirty out of range");
-                return -1;
+                return NULL;
             }
         }
-        const double *vrow = view_d + rows_d[r] * m;
-        for (npy_intp j = 0; j < t; j++) {
-            const double e = vrow[cols_d[j]];
-            const double b = e / E_d[j];
-            ev[j] = e;
-            base[j] = b > 1.0 ? 1.0 : b;
-        }
-        double *trow = tens_d + r * P * t;
-        for (npy_intp p = 0; p < P; p++) {
-            const double *ap = add_d + p * t;
-            double *tp = trow + p * t;
-            for (npy_intp j = 0; j < t; j++) {
-                double x = (ev[j] + ap[j]) / E_d[j];
-                if (x > 1.0) {
-                    x = 1.0;
-                }
-                tp[j] = x - base[j];
-            }
-        }
-    }
-    return 0;
-}
-
-static PyObject *
-fastpath_fill(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError, "fill expects 7 arguments");
-        return NULL;
-    }
-    if (fill_impl(args) < 0) {
-        return NULL;
+        fill_row(view_d + rows_d[r] * m, cols_d, t, add_d, P, E_d,
+                 tens_d + r * P * t);
     }
     Py_RETURN_NONE;
-}
-
-static PyObject *
-fastpath_fill_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 1) {
-        PyErr_SetString(PyExc_TypeError, "fill_batch expects 1 argument");
-        return NULL;
-    }
-    PyObject *jobs = args[0];
-    if (!PyList_Check(jobs)) {
-        PyErr_SetString(PyExc_TypeError, "fill_batch: jobs must be a list");
-        return NULL;
-    }
-    const Py_ssize_t n_jobs = PyList_GET_SIZE(jobs);
-    PyObject **items = ((PyListObject *)jobs)->ob_item;
-    for (Py_ssize_t b = 0; b < n_jobs; b++) {
-        PyObject *job = items[b];
-        if (!PyTuple_Check(job) || PyTuple_GET_SIZE(job) != 7) {
-            PyErr_SetString(PyExc_TypeError,
-                            "fill_batch: each job must be a 7-tuple");
-            return NULL;
-        }
-        if (fill_impl(((PyTupleObject *)job)->ob_item) < 0) {
-            return NULL;
-        }
-    }
-    Py_RETURN_NONE;
-}
-
-/* Core of finish(); writes the winner through `best`/`best_v`.  Returns 0
- * on success, -1 with a Python exception set on failure. */
-static int
-finish_impl(PyArrayObject *rg, double total_samples,
-            Py_ssize_t *best, double *best_v)
-{
-    const npy_intp R = PyArray_DIM(rg, 0);
-    const npy_intp P = PyArray_DIM(rg, 1);
-    if (P < 2 || P > FP_MAX_DIM) {
-        /* P == 1 would take NumPy's pairwise (contiguous-axis) summation
-         * path, which this sequential loop does not replicate; callers
-         * only negotiate partitions with at least two policies. */
-        PyErr_SetString(PyExc_ValueError, "finish: policy count out of range");
-        return -1;
-    }
-    const double *rg_d = (const double *)PyArray_DATA(rg);
-
-    /* NumPy's axis-0 reduction over a C-contiguous (R, P>=2) array is a
-     * sequential row accumulation — replicated exactly here. */
-    double total[FP_MAX_DIM];
-    for (npy_intp p = 0; p < P; p++) {
-        total[p] = 0.0;
-    }
-    for (npy_intp r = 0; r < R; r++) {
-        const double *rgr = rg_d + r * P;
-        for (npy_intp p = 0; p < P; p++) {
-            total[p] += rgr[p];
-        }
-    }
-    npy_intp win = 0;
-    double win_v = total[0] / total_samples;
-    for (npy_intp p = 1; p < P; p++) {
-        const double v = total[p] / total_samples;
-        if (v > win_v) {
-            win_v = v;
-            win = p;
-        }
-    }
-    *best = (Py_ssize_t)win;
-    *best_v = win_v;
-    return 0;
 }
 
 static PyObject *
@@ -245,53 +229,20 @@ fastpath_finish(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     if (total_samples == -1.0 && PyErr_Occurred()) {
         return NULL;
     }
-    Py_ssize_t best;
+    PyArrayObject *rg = (PyArrayObject *)args[0];
+    const npy_intp P = PyArray_DIM(rg, 1);
+    if (P < 2 || P > FP_MAX_DIM) {
+        /* P == 1 would take NumPy's pairwise (contiguous-axis) summation
+         * path, which this sequential loop does not replicate; callers
+         * only negotiate partitions with at least two policies. */
+        PyErr_SetString(PyExc_ValueError, "finish: policy count out of range");
+        return NULL;
+    }
+    npy_intp best;
     double best_v;
-    if (finish_impl((PyArrayObject *)args[0], total_samples,
-                    &best, &best_v) < 0) {
-        return NULL;
-    }
-    return Py_BuildValue("nd", best, best_v);
-}
-
-static PyObject *
-fastpath_finish_batch(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    if (nargs != 2) {
-        PyErr_SetString(PyExc_TypeError, "finish_batch expects 2 arguments");
-        return NULL;
-    }
-    PyObject *rgs = args[0];
-    if (!PyList_Check(rgs)) {
-        PyErr_SetString(PyExc_TypeError, "finish_batch: rgs must be a list");
-        return NULL;
-    }
-    double total_samples = PyFloat_AsDouble(args[1]);
-    if (total_samples == -1.0 && PyErr_Occurred()) {
-        return NULL;
-    }
-    const Py_ssize_t n_jobs = PyList_GET_SIZE(rgs);
-    PyObject **items = ((PyListObject *)rgs)->ob_item;
-    PyObject *out = PyList_New(n_jobs);
-    if (out == NULL) {
-        return NULL;
-    }
-    for (Py_ssize_t b = 0; b < n_jobs; b++) {
-        Py_ssize_t best;
-        double best_v;
-        if (finish_impl((PyArrayObject *)items[b], total_samples,
-                        &best, &best_v) < 0) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyObject *pair = Py_BuildValue("nd", best, best_v);
-        if (pair == NULL) {
-            Py_DECREF(out);
-            return NULL;
-        }
-        PyList_SET_ITEM(out, b, pair);
-    }
-    return out;
+    finish_rows((const double *)PyArray_DATA(rg), PyArray_DIM(rg, 0), P,
+                total_samples, &best, &best_v);
+    return Py_BuildValue("nd", (Py_ssize_t)best, best_v);
 }
 
 static PyObject *
@@ -314,13 +265,7 @@ fastpath_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     const npy_intp n = PyArray_DIM(views, 0);
     const npy_intp S = PyArray_DIM(views, 1);
     const npy_intp m = PyArray_DIM(views, 2);
-    const npy_intp R = PyArray_DIM(rows, 0);
-    const npy_intp t = PyArray_DIM(cols, 0);
-
     double *views_d = (double *)PyArray_DATA(views);
-    const npy_intp *rows_d = (const npy_intp *)PyArray_DATA(rows);
-    const npy_intp *cols_d = (const npy_intp *)PyArray_DATA(cols);
-    const double *vals_d = (const double *)PyArray_DATA(vals);
 
     const Py_ssize_t n_obs = PyList_GET_SIZE(obs);
     PyObject **obs_items = ((PyListObject *)obs)->ob_item;
@@ -333,15 +278,524 @@ fastpath_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
             PyErr_SetString(PyExc_IndexError, "fold: receiver out of range");
             return NULL;
         }
-        double *base_o = views_d + i * S * m;
-        for (npy_intp r = 0; r < R; r++) {
-            double *vrow = base_o + rows_d[r] * m;
-            for (npy_intp j = 0; j < t; j++) {
-                vrow[cols_d[j]] += vals_d[j];
-            }
-        }
+        fold_block(views_d + i * S * m, m,
+                   (const npy_intp *)PyArray_DATA(rows), PyArray_DIM(rows, 0),
+                   (const npy_intp *)PyArray_DATA(cols), PyArray_DIM(cols, 0),
+                   (const double *)PyArray_DATA(vals));
     }
     Py_RETURN_NONE;
+}
+
+/* ------------------------------------------------------------------ */
+/* negotiate_slot                                                      */
+/* ------------------------------------------------------------------ */
+
+/* The window tuple, unpacked (all references borrowed from it). */
+typedef struct {
+    double *views;            /* (n, S, m) stacked energy views */
+    npy_intp n, S, m;
+    const npy_int64 *colors;  /* (S, G) colour draws */
+    npy_intp G;
+    npy_intp num_colors;
+    PyObject *agents;         /* list of n bindings (None = off the race) */
+    const npy_intp *nbr_ptr;  /* (n + 1,) CSR offsets into nbr_idx */
+    const npy_intp *nbr_idx;
+    const unsigned char *colmask; /* (n, m) receivable-column masks */
+    PyObject *matmul;         /* np.matmul */
+    PyObject *kwnames;        /* ("out",) */
+} Window;
+
+/* One active agent's negotiation state for the current colour. */
+typedef struct {
+    npy_intp id, group, P, t, R;
+    const npy_intp *cols;
+    const double *E, *add;
+    double *tens, *rg;
+    PyObject *w, *tens_arr, *rg_arr, *vcache; /* borrowed */
+    PyObject *tens_v, *rg_v;  /* tens[:R], rg[:R]; borrowed from vcache */
+    const unsigned char *colmask;
+    npy_intp *rows;           /* matching sample rows, ascending */
+    unsigned char *inrow;     /* (S,) 1 where the row matches */
+    unsigned char *dirty;     /* (S,) 1 where a commit wrote the row */
+    double gain;              /* cached proposal (valid != 0) */
+    npy_intp policy;
+    char valid, bound, undecided, standing;
+} SlotAgent;
+
+static int
+is_array(PyObject *obj, int ndim, int type_num, const char *what)
+{
+    if (!PyArray_Check(obj)
+        || PyArray_NDIM((PyArrayObject *)obj) != ndim
+        || PyArray_TYPE((PyArrayObject *)obj) != type_num
+        || !PyArray_IS_C_CONTIGUOUS((PyArrayObject *)obj)) {
+        PyErr_Format(PyExc_ValueError,
+                     "negotiate_slot: %s must be a C-contiguous %d-d array "
+                     "of the bound dtype", what, ndim);
+        return 0;
+    }
+    return 1;
+}
+
+static int
+parse_window(PyObject *obj, Window *win)
+{
+    if (!PyTuple_Check(obj) || PyTuple_GET_SIZE(obj) != 9) {
+        PyErr_SetString(PyExc_TypeError,
+                        "negotiate_slot: window must be a 9-tuple");
+        return -1;
+    }
+    PyObject *views = PyTuple_GET_ITEM(obj, 0);
+    PyObject *colors = PyTuple_GET_ITEM(obj, 1);
+    PyObject *nbr_ptr = PyTuple_GET_ITEM(obj, 4);
+    PyObject *nbr_idx = PyTuple_GET_ITEM(obj, 5);
+    PyObject *colmask = PyTuple_GET_ITEM(obj, 6);
+    if (!is_array(views, 3, NPY_DOUBLE, "views")
+        || !is_array(colors, 2, NPY_INT64, "colors")
+        || !is_array(nbr_ptr, 1, NPY_INTP, "nbr_ptr")
+        || !is_array(nbr_idx, 1, NPY_INTP, "nbr_idx")
+        || !is_array(colmask, 2, NPY_UINT8, "colmask")) {
+        return -1;
+    }
+    PyArrayObject *v = (PyArrayObject *)views;
+    win->views = (double *)PyArray_DATA(v);
+    win->n = PyArray_DIM(v, 0);
+    win->S = PyArray_DIM(v, 1);
+    win->m = PyArray_DIM(v, 2);
+    win->colors = (const npy_int64 *)PyArray_DATA((PyArrayObject *)colors);
+    win->G = PyArray_DIM((PyArrayObject *)colors, 1);
+    win->num_colors = PyLong_AsSsize_t(PyTuple_GET_ITEM(obj, 2));
+    if (win->num_colors == -1 && PyErr_Occurred()) {
+        return -1;
+    }
+    win->agents = PyTuple_GET_ITEM(obj, 3);
+    win->nbr_ptr = (const npy_intp *)PyArray_DATA((PyArrayObject *)nbr_ptr);
+    win->nbr_idx = (const npy_intp *)PyArray_DATA((PyArrayObject *)nbr_idx);
+    win->colmask = (const unsigned char *)PyArray_DATA((PyArrayObject *)colmask);
+    win->matmul = PyTuple_GET_ITEM(obj, 7);
+    win->kwnames = PyTuple_GET_ITEM(obj, 8);
+    if (PyArray_DIM((PyArrayObject *)colors, 0) != win->S
+        || !PyList_Check(win->agents) || PyList_GET_SIZE(win->agents) != win->n
+        || PyArray_DIM((PyArrayObject *)nbr_ptr, 0) != win->n + 1
+        || PyArray_DIM((PyArrayObject *)colmask, 0) != win->n
+        || PyArray_DIM((PyArrayObject *)colmask, 1) != win->m
+        || !PyTuple_Check(win->kwnames)) {
+        PyErr_SetString(PyExc_ValueError,
+                        "negotiate_slot: window shapes do not agree");
+        return -1;
+    }
+    return 0;
+}
+
+/* Bind one active agent: its window binding ``(cols, E, w, tens, rg,
+ * vcache)`` and this slot's (P, t) energy block ``add``. */
+static int
+bind_agent(const Window *win, SlotAgent *ag, PyObject *add)
+{
+    PyObject *binding = PyList_GET_ITEM(win->agents, ag->id);
+    if (!PyTuple_Check(binding) || PyTuple_GET_SIZE(binding) != 6) {
+        PyErr_SetString(PyExc_ValueError,
+                        "negotiate_slot: active charger without a binding");
+        return -1;
+    }
+    PyObject *cols = PyTuple_GET_ITEM(binding, 0);
+    PyObject *E = PyTuple_GET_ITEM(binding, 1);
+    ag->w = PyTuple_GET_ITEM(binding, 2);
+    ag->tens_arr = PyTuple_GET_ITEM(binding, 3);
+    ag->rg_arr = PyTuple_GET_ITEM(binding, 4);
+    ag->vcache = PyTuple_GET_ITEM(binding, 5);
+    if (!is_array(cols, 1, NPY_INTP, "cols")
+        || !is_array(E, 1, NPY_DOUBLE, "E")
+        || !is_array(ag->tens_arr, 3, NPY_DOUBLE, "tens")
+        || !is_array(ag->rg_arr, 2, NPY_DOUBLE, "rg")
+        || !is_array(add, 2, NPY_DOUBLE, "add")) {
+        return -1;
+    }
+    PyArrayObject *tens = (PyArrayObject *)ag->tens_arr;
+    PyArrayObject *rg = (PyArrayObject *)ag->rg_arr;
+    ag->P = PyArray_DIM(tens, 1);
+    ag->t = PyArray_DIM(tens, 2);
+    if (ag->P < 2 || ag->P > FP_MAX_DIM || ag->t < 1 || ag->t > FP_MAX_DIM
+        || PyArray_DIM(tens, 0) != win->S
+        || PyArray_DIM(rg, 0) != win->S || PyArray_DIM(rg, 1) != ag->P
+        || PyArray_DIM((PyArrayObject *)cols, 0) != ag->t
+        || PyArray_DIM((PyArrayObject *)E, 0) != ag->t
+        || PyArray_DIM((PyArrayObject *)add, 0) != ag->P
+        || PyArray_DIM((PyArrayObject *)add, 1) != ag->t
+        || !PyList_Check(ag->vcache)
+        || PyList_GET_SIZE(ag->vcache) != win->S + 1) {
+        PyErr_SetString(PyExc_ValueError,
+                        "negotiate_slot: charger binding shapes do not agree");
+        return -1;
+    }
+    ag->cols = (const npy_intp *)PyArray_DATA((PyArrayObject *)cols);
+    ag->E = (const double *)PyArray_DATA((PyArrayObject *)E);
+    ag->add = (const double *)PyArray_DATA((PyArrayObject *)add);
+    ag->tens = (double *)PyArray_DATA(tens);
+    ag->rg = (double *)PyArray_DATA(rg);
+    ag->colmask = win->colmask + ag->id * win->m;
+    return 0;
+}
+
+/* Start colour ``c``: match rows from the colour draws, fresh caches, and
+ * the ``tens[:R]``/``rg[:R]`` views from the window's per-R cache. */
+static int
+start_negotiation(const Window *win, SlotAgent *ag, npy_int64 c)
+{
+    const npy_intp S = win->S, G = win->G;
+    npy_intp R = 0;
+    for (npy_intp s = 0; s < S; s++) {
+        const char hit = win->colors[s * G + ag->group] == c;
+        ag->inrow[s] = hit;
+        ag->dirty[s] = 0;
+        if (hit) {
+            ag->rows[R++] = s;
+        }
+    }
+    ag->R = R;
+    ag->valid = ag->bound = ag->standing = 0;
+    ag->undecided = 1;
+    ag->tens_v = ag->rg_v = NULL;
+    if (R == 0) {
+        return 0;
+    }
+    PyObject *pair = PyList_GET_ITEM(ag->vcache, R);
+    if (pair == Py_None) {
+        PyObject *tv = PySequence_GetSlice(ag->tens_arr, 0, R);
+        PyObject *rv = tv ? PySequence_GetSlice(ag->rg_arr, 0, R) : NULL;
+        pair = rv ? PyTuple_Pack(2, tv, rv) : NULL;
+        Py_XDECREF(tv);
+        Py_XDECREF(rv);
+        if (pair == NULL) {
+            return -1;
+        }
+        PyList_SetItem(ag->vcache, R, pair); /* steals the reference */
+    }
+    ag->tens_v = PyTuple_GET_ITEM(pair, 0);
+    ag->rg_v = PyTuple_GET_ITEM(pair, 1);
+    return 0;
+}
+
+/* The agent's best (gain, policy): refresh the rows commits wrote (all
+ * rows on the first call of a negotiation), the task sum through
+ * np.matmul, then finish.  Policy 0 is idle (IDLE_POLICY). */
+static int
+evaluate(const Window *win, SlotAgent *ag)
+{
+    ag->valid = 1;
+    if (ag->R == 0) {
+        ag->gain = 0.0;
+        ag->policy = 0;
+        return 0;
+    }
+    const npy_intp P = ag->P, t = ag->t, m = win->m;
+    const double *view = win->views + ag->id * win->S * m;
+    for (npy_intp q = 0; q < ag->R; q++) {
+        const npy_intp r = ag->rows[q];
+        if (!ag->bound || ag->dirty[r]) {
+            fill_row(view + r * m, ag->cols, t, ag->add, P, ag->E,
+                     ag->tens + q * P * t);
+            ag->dirty[r] = 0;
+        }
+    }
+    ag->bound = 1;
+    PyObject *margs[3] = {ag->tens_v, ag->w, ag->rg_v};
+    PyObject *out = PyObject_Vectorcall(win->matmul, margs, 2, win->kwnames);
+    if (out == NULL) {
+        return -1;
+    }
+    Py_DECREF(out);
+    npy_intp best;
+    double best_v;
+    finish_rows(ag->rg, ag->R, P, (double)win->S, &best, &best_v);
+    if (best == 0 || best_v <= MIN_GAIN) {
+        ag->gain = 0.0;
+        ag->policy = 0;
+    } else {
+        ag->gain = best_v;
+        ag->policy = best;
+    }
+    return 0;
+}
+
+/* ``recv`` learns of ``w``'s commit of the energy ``vals``: its cached
+ * proposal survives unless the commit wrote one of its matching rows on
+ * one of its receivable tasks (``vals > 0`` marks the changed tasks);
+ * otherwise the written rows turn dirty. */
+static void
+note_commit(SlotAgent *recv, const SlotAgent *w, const double *vals)
+{
+    if (!recv->valid && !recv->bound) {
+        return; /* nothing cached to maintain */
+    }
+    npy_intp q = 0;
+    while (q < w->R && !recv->inrow[w->rows[q]]) {
+        q++;
+    }
+    if (q == w->R) {
+        return;
+    }
+    npy_intp j = 0;
+    while (j < w->t && !(vals[j] > 0.0 && recv->colmask[w->cols[j]])) {
+        j++;
+    }
+    if (j == w->t) {
+        return;
+    }
+    recv->valid = 0;
+    for (; q < w->R; q++) {
+        const npy_intp r = w->rows[q];
+        if (recv->inrow[r]) {
+            recv->dirty[r] = 1;
+        }
+    }
+}
+
+/* table[(w, k, c)] = policy; commit_rounds.append(rnd). */
+static int
+record_commit(PyObject *table, PyObject *commit_rounds, const SlotAgent *ag,
+              npy_intp k, npy_intp c, npy_intp rnd)
+{
+    PyObject *key = Py_BuildValue("(nnn)", ag->id, k, c);
+    PyObject *pol = PyLong_FromSsize_t(ag->policy);
+    PyObject *round_index = PyLong_FromSsize_t(rnd);
+    int rc = -1;
+    if (key != NULL && pol != NULL && round_index != NULL
+        && PyDict_SetItem(table, key, pol) == 0
+        && PyList_Append(commit_rounds, round_index) == 0) {
+        rc = 0;
+    }
+    Py_XDECREF(key);
+    Py_XDECREF(pol);
+    Py_XDECREF(round_index);
+    return rc;
+}
+
+static inline npy_intp
+degree(const Window *win, npy_intp i)
+{
+    return win->nbr_ptr[i + 1] - win->nbr_ptr[i];
+}
+
+/* One slot call: its active agents, workspace, outputs and counts. */
+typedef struct {
+    const Window *win;
+    SlotAgent *ags;
+    npy_intp A, k;
+    npy_intp *loc;            /* (n,) charger -> agent index, -1 if inactive */
+    npy_intp *contenders, *winners;
+    PyObject *table, *commit_rounds;
+    npy_intp messages, broadcasts, rounds, negotiations, evals, hits;
+} Slot;
+
+/* Colour ``c``'s negotiation, round by round.  Returns 0, or -1 with a
+ * Python exception set. */
+static int
+negotiate_color(Slot *sl, npy_intp c)
+{
+    const Window *win = sl->win;
+    SlotAgent *ags = sl->ags;
+    const npy_intp A = sl->A, S = win->S, m = win->m;
+    sl->negotiations++;
+    npy_intp undecided = A;
+    /* Degree sum of the undecided agents: one message per neighbour per
+     * broadcast in the synchronous model. */
+    npy_intp deg_u = 0;
+    for (npy_intp a = 0; a < A; a++) {
+        if (start_negotiation(win, &ags[a], c) < 0) {
+            return -1;
+        }
+        deg_u += degree(win, ags[a].id);
+    }
+    for (npy_intp rnd = 1; undecided > 0; rnd++) {
+        /* Advertisement: every undecided agent broadcasts its best
+         * marginal, recomputed only when a commit invalidated it. */
+        for (npy_intp a = 0; a < A; a++) {
+            SlotAgent *ag = &ags[a];
+            if (!ag->undecided) {
+                continue;
+            }
+            if (ag->valid) {
+                sl->hits++;
+            } else {
+                sl->evals++;
+                if (evaluate(win, ag) < 0) {
+                    return -1;
+                }
+            }
+            ag->standing = ag->gain > MIN_GAIN;
+        }
+        sl->broadcasts += undecided;
+        sl->messages += deg_u;
+        sl->rounds++;
+
+        /* Withdrawal: agents with no positive gain are done. */
+        npy_intp n_cont = 0;
+        for (npy_intp a = 0; a < A; a++) {
+            SlotAgent *ag = &ags[a];
+            if (!ag->undecided) {
+                continue;
+            }
+            if (ag->gain <= MIN_GAIN) {
+                ag->undecided = 0;
+                undecided--;
+                deg_u -= degree(win, ag->id);
+            } else {
+                sl->contenders[n_cont++] = a;
+            }
+        }
+        if (undecided == 0) {
+            break;
+        }
+
+        /* Commit: local maxima of (gain, -id) over the neighbours'
+         * standing advertisements. */
+        npy_intp n_win = 0;
+        for (npy_intp q = 0; q < n_cont; q++) {
+            const SlotAgent *ag = &ags[sl->contenders[q]];
+            int beaten = 0;
+            for (npy_intp e = win->nbr_ptr[ag->id];
+                 e < win->nbr_ptr[ag->id + 1] && !beaten; e++) {
+                const npy_intp j = win->nbr_idx[e];
+                const npy_intp l = sl->loc[j];
+                if (l >= 0 && ags[l].standing) {
+                    const double gj = ags[l].gain;
+                    beaten = gj > ag->gain || (gj == ag->gain && j < ag->id);
+                }
+            }
+            if (!beaten) {
+                sl->winners[n_win++] = sl->contenders[q];
+            }
+        }
+        if (n_win == 0) {
+            PyErr_SetString(PyExc_RuntimeError,
+                            "negotiation livelock: no winner among "
+                            "undecided agents");
+            return -1;
+        }
+        for (npy_intp q = 0; q < n_win; q++) {
+            SlotAgent *ag = &ags[sl->winners[q]];
+            if (record_commit(sl->table, sl->commit_rounds, ag, sl->k, c,
+                              rnd) < 0) {
+                return -1;
+            }
+            ag->standing = ag->undecided = 0;
+            sl->messages += degree(win, ag->id);
+            deg_u -= degree(win, ag->id);
+        }
+        sl->broadcasts += n_win;
+        sl->rounds++;
+        undecided -= n_win;
+
+        /* UPD: in ascending winner order, each undecided neighbour and the
+         * winner itself fold the committed energy into their views; the
+         * neighbours then invalidate what it touched. */
+        for (npy_intp q = 0; q < n_win; q++) {
+            const SlotAgent *w = &ags[sl->winners[q]];
+            const double *vals = w->add + w->policy * w->t;
+            for (npy_intp e = win->nbr_ptr[w->id];
+                 e < win->nbr_ptr[w->id + 1]; e++) {
+                const npy_intp j = win->nbr_idx[e];
+                const npy_intp l = sl->loc[j];
+                if (l >= 0 && ags[l].undecided) {
+                    fold_block(win->views + j * S * m, m, w->rows, w->R,
+                               w->cols, w->t, vals);
+                    note_commit(&ags[l], w, vals);
+                }
+            }
+            fold_block(win->views + w->id * S * m, m, w->rows, w->R, w->cols,
+                       w->t, vals);
+        }
+    }
+    return 0;
+}
+
+static PyObject *
+fastpath_negotiate_slot(PyObject *self, PyObject *const *args,
+                        Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "negotiate_slot expects 7 arguments");
+        return NULL;
+    }
+    Window win;
+    if (parse_window(args[0], &win) < 0) {
+        return NULL;
+    }
+    Slot sl = {.win = &win, .table = args[5], .commit_rounds = args[6]};
+    sl.k = PyLong_AsSsize_t(args[1]);
+    if (sl.k == -1 && PyErr_Occurred()) {
+        return NULL;
+    }
+    PyObject *active = args[2], *groups = args[3], *adds = args[4];
+    if (!PyList_Check(active) || !PyList_Check(groups) || !PyList_Check(adds)
+        || !PyDict_Check(sl.table) || !PyList_Check(sl.commit_rounds)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "negotiate_slot: active, groups, adds and "
+                        "commit_rounds must be lists and table a dict");
+        return NULL;
+    }
+    const npy_intp A = sl.A = PyList_GET_SIZE(active);
+    if (PyList_GET_SIZE(groups) != A || PyList_GET_SIZE(adds) != A) {
+        PyErr_SetString(PyExc_ValueError,
+                        "negotiate_slot: active, groups and adds differ in "
+                        "length");
+        return NULL;
+    }
+    const npy_intp n = win.n, S = win.S;
+
+    /* One workspace for the whole slot: agents, their row lists and row
+     * masks, the charger -> agent map, and the contender/winner lists. */
+    const size_t bytes = (size_t)A * sizeof(SlotAgent)
+                         + (size_t)A * S * sizeof(npy_intp)
+                         + (size_t)(n + 2 * A) * sizeof(npy_intp)
+                         + (size_t)A * 2 * S;
+    char *work = PyMem_Malloc(bytes > 0 ? bytes : 1);
+    if (work == NULL) {
+        return PyErr_NoMemory();
+    }
+    sl.ags = (SlotAgent *)work;
+    npy_intp *rows_ws = (npy_intp *)(sl.ags + A);
+    sl.loc = rows_ws + A * S;
+    sl.contenders = sl.loc + n;
+    sl.winners = sl.contenders + A;
+    unsigned char *masks = (unsigned char *)(sl.winners + A);
+
+    PyObject *result = NULL;
+    for (npy_intp i = 0; i < n; i++) {
+        sl.loc[i] = -1;
+    }
+    for (npy_intp a = 0; a < A; a++) {
+        SlotAgent *ag = &sl.ags[a];
+        ag->id = PyLong_AsSsize_t(PyList_GET_ITEM(active, a));
+        ag->group = PyLong_AsSsize_t(PyList_GET_ITEM(groups, a));
+        if (PyErr_Occurred()) {
+            goto done;
+        }
+        if (ag->id < 0 || ag->id >= n || sl.loc[ag->id] >= 0
+            || ag->group < 0 || ag->group >= win.G) {
+            PyErr_SetString(PyExc_ValueError,
+                            "negotiate_slot: charger or group out of range");
+            goto done;
+        }
+        sl.loc[ag->id] = a;
+        ag->rows = rows_ws + a * S;
+        ag->inrow = masks + a * 2 * S;
+        ag->dirty = ag->inrow + S;
+        if (bind_agent(&win, ag, PyList_GET_ITEM(adds, a)) < 0) {
+            goto done;
+        }
+    }
+    for (npy_intp c = 0; c < win.num_colors; c++) {
+        if (negotiate_color(&sl, c) < 0) {
+            goto done;
+        }
+    }
+    result = Py_BuildValue("(nnnnnn)", sl.messages, sl.broadcasts, sl.rounds,
+                           sl.negotiations, sl.evals, sl.hits);
+done:
+    PyMem_Free(work);
+    return result;
 }
 
 static PyMethodDef fastpath_methods[] = {
@@ -349,12 +803,11 @@ static PyMethodDef fastpath_methods[] = {
      "Refresh dirty rows of the clipped-utility difference tensor."},
     {"finish", (PyCFunction)(void (*)(void))fastpath_finish, METH_FASTCALL,
      "Column-sum per-row gains and return (best_policy, best_total)."},
-    {"fill_batch", (PyCFunction)(void (*)(void))fastpath_fill_batch,
-     METH_FASTCALL, "Run fill for a list of per-agent argument tuples."},
-    {"finish_batch", (PyCFunction)(void (*)(void))fastpath_finish_batch,
-     METH_FASTCALL, "Run finish over a list of per-agent row-gain arrays."},
     {"fold", (PyCFunction)(void (*)(void))fastpath_fold, METH_FASTCALL,
      "Scatter-add committed energy into stacked receiver views."},
+    {"negotiate_slot", (PyCFunction)(void (*)(void))fastpath_negotiate_slot,
+     METH_FASTCALL,
+     "Run every colour's synchronous negotiation of one slot."},
     {NULL, NULL, 0, NULL},
 };
 

@@ -173,7 +173,7 @@ class ChargerAgent:
         if row_list is not None:
             self._row_list = row_list
         else:
-            self._row_list = [int(r) for r in match_rows]
+            self._row_list = match_rows.tolist()
         self._rows_col = None
         self._row_gains = None
         self._dirty_pos.clear()
@@ -297,104 +297,103 @@ class ChargerAgent:
                 dirty.add(p)
 
 
-def _store_proposal(agent: "ChargerAgent", best_p: int, best_v: float) -> None:
-    """Commit a compiled-kernel result into the agent's proposal cache.
+def _row_bitmasks(sampler: ColorSampler) -> list[list[int]]:
+    """``out[c][g]``: the sample rows whose draw for group ``g`` is color
+    ``c``, as an int bitmask (bit ``r`` = row ``r``).
 
-    Mirrors the tail of the compiled branch of
-    :meth:`ChargerAgent.best_candidate` exactly.
+    One OR-reduction over the draw matrix per color and 64-row block.
     """
-    agent._dirty_pos.clear()
-    if best_p == IDLE_POLICY or best_v <= MIN_GAIN:
-        agent._proposal = (0.0, IDLE_POLICY)
-    else:
-        agent._proposal = (best_v, best_p)
-
-
-def _evaluate_pending(
-    agents: dict[int, "ChargerAgent"],
-    pending: list[int],
-    slot: int,
-    match: dict[int, np.ndarray],
-    total_samples: int,
-) -> None:
-    """Evaluate every pending agent's proposal, batching the C kernel.
-
-    The advertisement phase is embarrassingly parallel — each agent reads
-    only its own energy view, and no view mutates until the commit phase —
-    so the per-agent ``fill``/``finish`` C calls of one round collapse
-    into one ``fill_batch``/``finish_batch`` pair, with the per-agent
-    ``np.matmul`` weighted sums kept in between (their BLAS ordering is
-    part of the reference semantics, exactly as in
-    :meth:`ChargerAgent.best_candidate`).  Agents off the compiled path —
-    ``REPRO_DISABLE_CKERNEL=1``, non-linear utilities, oversized blocks,
-    or empty row lists — take :meth:`~ChargerAgent.best_candidate`, the
-    bit-identical pure-NumPy reference.  Per-agent results are pinned
-    identical to per-agent calls by ``tests/test_fastpath_equivalence.py``
-    and the batch-equivalence suite.
-    """
-    batch: list[tuple] = []
-    for i in pending:
-        agent = agents[i]
-        if agent._ck is None or not agent._row_list:
-            agent.best_candidate(slot, match[i], total_samples)
-            continue
-        # Mirror best_candidate's compiled-path prep: once the rg buffer
-        # is bound the evaluation must complete through the kernel path.
-        n_rows = len(agent._row_list)
-        rg = agent._row_gains
-        if rg is None:
-            rg = agent._row_gains = agent._rg_full[:n_rows]
-            dirty = None
-        else:
-            dirty = sorted(agent._dirty_pos)
-        tens = agent._tens_full[:n_rows]
-        batch.append(
-            (
-                agent,
-                rg,
-                tens,
-                (
-                    agent.energies, tens, agent._rows, dirty,
-                    agent._cols_i, agent._add, agent._E_i,
-                ),
+    colors = sampler.colors
+    out = []
+    for c in range(sampler.num_colors):
+        bits: list[int] = []
+        for lo in range(0, colors.shape[0], 64):
+            hit = colors[lo : lo + 64] == c
+            weights = np.left_shift(
+                np.uint64(1), np.arange(hit.shape[0], dtype=np.uint64)
             )
+            words = np.bitwise_or.reduce(
+                np.where(hit, weights[:, None], np.uint64(0)), axis=0
+            ).tolist()
+            bits = [b | (w << lo) for b, w in zip(bits, words)] if lo else words
+        out.append(bits)
+    return out
+
+
+def _slot_window(
+    network: ChargerNetwork,
+    objective: HasteObjective,
+    participants: list[int],
+    sampler: ColorSampler,
+    views: np.ndarray,
+) -> tuple | None:
+    """The compiled slot kernel's bindings for one window, or ``None``.
+
+    ``None`` — the NumPy loop runs — when the kernel is not loaded or some
+    participant is off the compiled path: a utility other than the
+    linear-bounded one, or more policies or receivable tasks than the
+    kernel's fixed capacity (``FP_MAX_DIM``).  Each participant binds its
+    receivable columns, required energies, column weights, reusable
+    ``(S, P_i, |T_i|)`` / ``(S, P_i)`` scratch buffers and a list the
+    kernel fills with their ``[:R]`` views by row count ``R``.  The window
+    adds the views, the color draws, the neighbor sets as CSR arrays, every
+    charger's receivable-column mask, and ``np.matmul``, which the kernel
+    calls for the task-weighted sum with the operands
+    :meth:`ChargerAgent.best_candidate` passes, so BLAS rounds it the same
+    way.  The tuple layout is ``negotiate_slot``'s, documented in
+    ``_fastpath.c``.
+    """
+    if _C is None:
+        return None
+    S = sampler.num_samples
+    agents: list[tuple | None] = [None] * network.n
+    colmask = np.zeros((network.n, network.m), dtype=np.uint8)
+    for i in participants:
+        E = objective._util_E[i]
+        cols = objective._cols[i]
+        P, t = network.policy_count(i), cols.size
+        if (
+            E is None
+            or cols.dtype != np.intp
+            or not 2 <= P <= _ckernel.FP_MAX_DIM
+            or not 0 < t <= _ckernel.FP_MAX_DIM
+        ):
+            return None
+        agents[i] = (
+            np.ascontiguousarray(cols),
+            np.ascontiguousarray(E),
+            np.ascontiguousarray(objective._w_cols[i]),
+            np.empty((S, P, t)),
+            np.empty((S, P)),
+            [None] * (S + 1),
         )
-    if not batch:
-        return
-    ck = batch[0][0]._ck
-    if len(batch) == 1 or not hasattr(ck, "fill_batch"):
-        # One agent (no amortization to win) or a stale extension built
-        # before the batched entry points existed: per-agent calls.
-        for agent, rg, tens, job in batch:
-            ck.fill(*job)
-            np.matmul(tens, agent._w_i, out=rg)
-            best_p, best_v = ck.finish(rg, total_samples)
-            _store_proposal(agent, best_p, best_v)
-        return
-    ck.fill_batch([job for _agent, _rg, _tens, job in batch])
-    for agent, rg, tens, _job in batch:
-        np.matmul(tens, agent._w_i, out=rg)
-    results = ck.finish_batch(
-        [rg for _agent, rg, _tens, _job in batch], total_samples
+        colmask[i, cols] = 1
+    nbrs = [sorted(nb) for nb in network.neighbors]
+    nbr_ptr = np.zeros(network.n + 1, dtype=np.intp)
+    nbr_ptr[1:] = np.cumsum([len(nb) for nb in nbrs])
+    nbr_idx = np.array([j for nb in nbrs for j in nb], dtype=np.intp)
+    colors = np.ascontiguousarray(sampler.colors, dtype=np.int64)
+    return (
+        views, colors, sampler.num_colors, agents, nbr_ptr, nbr_idx, colmask,
+        np.matmul, ("out",),
     )
-    for (agent, _rg, _tens, _job), (best_p, best_v) in zip(batch, results):
-        _store_proposal(agent, best_p, best_v)
 
 
 @dataclass
 class NegotiationResult:
     """Outcome of negotiating one window of slots.
 
-    ``table`` maps ``(charger, slot, color) → policy``; ``stats`` is the
-    communication accounting for Fig. 16; ``commit_trace`` records every
-    commit with its synchronous round, feeding the Thm 6.1 linearization
-    (:mod:`repro.online.ordering`).
+    ``table`` maps ``(charger, slot, color) → policy`` in commit order;
+    ``stats`` is the communication accounting for Fig. 16;
+    ``commit_rounds`` holds each commit's synchronous round, in the same
+    order, and :attr:`commit_trace` joins the two for the Thm 6.1
+    linearization (:mod:`repro.online.ordering`).
     """
 
     table: dict[tuple[int, int, int], int]
     stats: MessageStats
     sampler: ColorSampler = field(repr=False, default=None)
-    commit_trace: list[CommitEvent] = field(repr=False, default_factory=list)
+    commit_rounds: list[int] = field(repr=False, default_factory=list)
     #: Advertisement-phase accounting: how many proposals ran the gain
     #: kernel vs were answered from an agent's still-valid cache — the
     #: incremental runtime's dominant saving, surfaced for the registry.
@@ -405,6 +404,41 @@ class NegotiationResult:
     #: :class:`~repro.faults.model.FaultModel`; ``None`` on the lossless
     #: path, which is also what a null fault model routes to.
     fault_stats: FaultStats | None = field(repr=False, default=None)
+
+    @property
+    def commit_trace(self) -> list[CommitEvent]:
+        """Every commit with its synchronous round, in commit order."""
+        return [
+            CommitEvent(i, k, c, rnd, policy)
+            for ((i, k, c), policy), rnd in zip(
+                self.table.items(), self.commit_rounds
+            )
+        ]
+
+    def partition_policies(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table as arrays, for drawing final colors in bulk.
+
+        Returns ``(chargers, slots, policies)``: the ``(charger, slot)``
+        partitions holding a commit, in sorted order, and their
+        ``(partition, color)`` policies, idle where that color committed
+        nothing.
+        """
+        n = len(self.table)
+        keys = np.fromiter(
+            (x for key in self.table for x in key), dtype=np.intp, count=3 * n
+        ).reshape(n, 3)
+        # One int per partition, in (charger, slot) order.
+        span = int(keys[:, 1].max()) + 1 if n else 1
+        parts, part_of = np.unique(
+            keys[:, 0] * span + keys[:, 1], return_inverse=True
+        )
+        policies = np.full(
+            (parts.size, self.sampler.num_colors), IDLE_POLICY, dtype=np.int32
+        )
+        policies[part_of, keys[:, 2]] = np.fromiter(
+            self.table.values(), dtype=np.int32, count=n
+        )
+        return parts // span, parts % span, policies
 
 
 def negotiate_window(
@@ -527,7 +561,17 @@ def _negotiate_window(
     async_dropout: float = 0.0,
     async_rng: np.random.Generator | None = None,
 ) -> NegotiationResult:
-    """The uninstrumented protocol body (see :func:`negotiate_window`)."""
+    """The uninstrumented protocol body (see :func:`negotiate_window`).
+
+    The synchronous model runs each slot's negotiations in the compiled
+    kernel, one ``negotiate_slot`` call per slot, when the kernel is loaded
+    and every participant is on its path (:func:`_slot_window`).  Otherwise
+    the NumPy loop below runs; it is the reference, and both produce the
+    same table, commit trace, stats and proposal counts.  The call is per
+    slot, not per window, because the kernel holds the interpreter lock
+    while it runs: between slots, other threads (the serve daemon's) get
+    their turn.
+    """
     if not (0.0 <= async_dropout < 1.0):
         raise ValueError(f"async_dropout must be in [0, 1), got {async_dropout}")
     if async_dropout > 0.0 and async_rng is None:
@@ -545,21 +589,7 @@ def _negotiate_window(
     ]
     sampler = ColorSampler(part_keys, num_colors, num_samples, rng)
     S = sampler.num_samples
-    # Bulk-precompute every (partition, color) row match once per window —
-    # identical to per-negotiation ``matching_samples`` lookups.
     group_index = {key: g for g, key in enumerate(part_keys)}
-    # Window-level precompute per (color, group): the rows as a native-int
-    # index array, as a plain-int list (for bit tests), and as a bitmask —
-    # every negotiation touching the group reuses them.
-    all_matches = sampler.matches_by_color()
-    row_lists = [
-        [[int(r) for r in rows] for rows in per_color]
-        for per_color in all_matches
-    ]
-    row_bits = [
-        [sum(1 << r for r in rl) for rl in per_color]
-        for per_color in row_lists
-    ]
 
     # Per-agent energy views, stacked into one (n, S, m) array so a commit
     # can be folded into all its receivers' views with a single batched
@@ -577,25 +607,68 @@ def _negotiate_window(
         ).copy()
     else:
         views = objective.zero_energy((network.n, S))
+    bus = bus if bus is not None else MessageBus(list(network.neighbors))
+    bus.reset_inboxes()
+    stats = bus.stats
+    table: dict[tuple[int, int, int], int] = {}
+    commit_rounds: list[int] = []
+    sync = async_dropout == 0.0
+    # Proposal-cache accounting: plain local ints (folded into the obs
+    # registry by the negotiate_window wrapper, never per-round).
+    prop_evals = 0
+    prop_hits = 0
+
+    window = (
+        _slot_window(network, objective, participants, sampler, views)
+        if sync
+        else None
+    )
+    if window is not None:
+        for k in slots:
+            k = int(k)
+            active = [i for i in participants if k in relevant[i]]
+            if not active:
+                continue
+            messages, broadcasts, rounds, negotiations, evals, hits = (
+                _C.negotiate_slot(
+                    window,
+                    k,
+                    active,
+                    [group_index[(i, k)] for i in active],
+                    [objective.added_energy_cols(i, k) for i in active],
+                    table,
+                    commit_rounds,
+                )
+            )
+            stats.messages += messages
+            stats.broadcasts += broadcasts
+            stats.rounds += rounds
+            stats.negotiations += negotiations
+            prop_evals += evals
+            prop_hits += hits
+        return NegotiationResult(
+            table=table,
+            stats=stats,
+            sampler=sampler,
+            commit_rounds=commit_rounds,
+            proposal_evals=prop_evals,
+            proposal_cache_hits=prop_hits,
+        )
+
+    # Window-level precompute per (color, group): the matching rows as an
+    # index array, as a plain-int list and as a bitmask — every
+    # negotiation touching the group reuses them.
+    all_matches = sampler.matches_by_color()
+    row_lists = [[rows.tolist() for rows in per_color] for per_color in all_matches]
+    row_bits = _row_bitmasks(sampler)
     agents = {i: ChargerAgent(i, objective, S, views[i]) for i in participants}
     cols = objective._cols
     if _C is not None:
         cols = [np.ascontiguousarray(c, dtype=np.intp) for c in cols]
     # (charger, slot, policy) → int bitmask of the tasks the commit funds.
     changed_bits_cache: dict[tuple[int, int, int], int] = {}
-    bus = bus if bus is not None else MessageBus(list(network.neighbors))
-    bus.reset_inboxes()
-    stats = bus.stats
     neighbors = network.neighbors
     degree = [len(nbrs) for nbrs in neighbors]
-
-    table: dict[tuple[int, int, int], int] = {}
-    commit_trace: list[CommitEvent] = []
-    sync = async_dropout == 0.0
-    # Proposal-cache accounting: plain local ints (folded into the obs
-    # registry by the negotiate_window wrapper, never per-round).
-    prop_evals = 0
-    prop_hits = 0
 
     for k in slots:
         k = int(k)
@@ -653,25 +726,15 @@ def _negotiate_window(
                 # withdrawal).  Each broadcast is one transmission plus
                 # ``|N(s_i)|`` deliveries in the Fig. 16 accounting.
                 proposals: dict[int, tuple[float, int]] = {}
-                pending = []
                 for i in order:
-                    prop = agents[i]._proposal
+                    agent = agents[i]
+                    prop = agent._proposal
                     if prop is None:
-                        pending.append(i)
+                        prop = agent.best_candidate(k, match[i], S)
                         prop_evals += 1
                     else:
                         prop_hits += 1
-                        proposals[i] = prop
-                if pending:
-                    # Batched advertisement: all cache-missing agents run
-                    # the gain kernel in one C round trip (bit-identical
-                    # to per-agent best_candidate calls — see
-                    # _evaluate_pending).
-                    _evaluate_pending(agents, pending, k, match, S)
-                    for i in pending:
-                        proposals[i] = agents[i]._proposal
-                for i in order:
-                    prop = proposals[i]
+                    proposals[i] = prop
                     standing[i] = prop[0] if prop[0] > MIN_GAIN else None
                 stats.broadcasts += len(order)
                 stats.messages += (
@@ -732,15 +795,7 @@ def _negotiate_window(
                 for i in winners:
                     policy = proposals[i][1]
                     table[(i, k, c)] = policy
-                    commit_trace.append(
-                        CommitEvent(
-                            charger=i,
-                            slot=k,
-                            color=c,
-                            round_index=negotiation_round,
-                            policy=policy,
-                        )
-                    )
+                    commit_rounds.append(negotiation_round)
                     standing[i] = None
                 stats.broadcasts += len(winners)
                 stats.messages += sum(degree[i] for i in winners)
@@ -765,9 +820,9 @@ def _negotiate_window(
                     if _C is not None:
                         _C.fold(views, receivers, rows_w, cols[w], vals)
                     else:
-                        obs = np.asarray(receivers, dtype=np.intp)
+                        recv = np.asarray(receivers, dtype=np.intp)
                         views[
-                            obs[:, None, None],
+                            recv[:, None, None],
                             rows_w[None, :, None],
                             cols[w][None, None, :],
                         ] += vals
@@ -787,7 +842,7 @@ def _negotiate_window(
         table=table,
         stats=bus.stats,
         sampler=sampler,
-        commit_trace=commit_trace,
+        commit_rounds=commit_rounds,
         proposal_evals=prop_evals,
         proposal_cache_hits=prop_hits,
     )
@@ -881,7 +936,7 @@ def _negotiate_window_faulty(
     neighbors = network.neighbors
 
     table: dict[tuple[int, int, int], int] = {}
-    commit_trace: list[CommitEvent] = []
+    commit_rounds: list[int] = []
     prop_evals = 0
     prop_hits = 0
 
@@ -1045,15 +1100,7 @@ def _negotiate_window_faulty(
                         )
                     policy = proposals[i][1]
                     table[key] = policy
-                    commit_trace.append(
-                        CommitEvent(
-                            charger=i,
-                            slot=k,
-                            color=c,
-                            round_index=rnd,
-                            policy=policy,
-                        )
-                    )
+                    commit_rounds.append(rnd)
                     undecided.discard(i)
                     folded.add((i, i))
                     fold(i, i, policy, match[i], adds_k)
@@ -1074,7 +1121,7 @@ def _negotiate_window_faulty(
         table=table,
         stats=bus.stats,
         sampler=sampler,
-        commit_trace=commit_trace,
+        commit_rounds=commit_rounds,
         proposal_evals=prop_evals,
         proposal_cache_hits=prop_hits,
         fault_stats=fs,

@@ -188,16 +188,17 @@ def run_online_haste(
                 best_sched: Schedule | None = None
                 best_value = -np.inf
                 draws = final_draws if num_colors > 1 else 1
-                partitions = sorted({(i, k) for (i, k, _c) in result.table})
+                chargers, part_slots, policies = result.partition_policies()
+                parts = np.arange(len(chargers))
                 with obs.span("online.draw_and_smooth"):
                     for _ in range(draws):
                         candidate = committed.copy()
                         candidate.clear_from(boundary)
-                        for (i, k) in partitions:
-                            c = int(rng.integers(0, num_colors))
-                            p = result.table.get((i, k, c))
-                            if p is not None:
-                                candidate.set(i, k, p)
+                        # One batched draw per vector: the generator yields
+                        # the values, and ends in the state, of one scalar
+                        # draw per partition in sorted order.
+                        colors = rng.integers(0, num_colors, size=len(parts))
+                        candidate.sel[chargers, part_slots] = policies[parts, colors]
                         value = objective.value_of_schedule(candidate)
                         if value > best_value:
                             best_sched, best_value = candidate, value

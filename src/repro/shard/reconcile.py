@@ -216,17 +216,17 @@ def _reconcile_group_worker(
         bus=bus,
     )
 
-    partitions = sorted({(i, k) for (i, k, _c) in result.table})
+    chargers, part_slots, policies = result.partition_policies()
+    parts = np.arange(len(chargers))
     draws = wopts["final_draws"] if num_colors > 1 else 1
     best_sched: Schedule | None = None
     best_value = -np.inf
     for _ in range(draws):
         candidate = Schedule(net)
-        for (i, k) in partitions:
-            c = int(rng.integers(0, num_colors))
-            p = result.table.get((i, k, c))
-            if p is not None:
-                candidate.set(i, k, p)
+        # Same generator values and end state as one scalar draw per
+        # partition in sorted order.
+        colors = rng.integers(0, num_colors, size=len(parts))
+        candidate.sel[chargers, part_slots] = policies[parts, colors]
         value = float(
             objective.value(banked + objective.energies_of_schedule(candidate))
         )

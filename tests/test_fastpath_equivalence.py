@@ -343,16 +343,18 @@ class TestSweepPaths:
         assert got.objective_value == ref.objective_value
 
     def test_disabled_kernel_subprocess_same_hash(self):
-        """``REPRO_DISABLE_CKERNEL=1`` in a fresh interpreter: same artifact."""
+        """``REPRO_DISABLE_CKERNEL=1`` in a fresh interpreter: same artifacts."""
+        specs = ["haste-offline:c=4", "online-haste"]
         inst = Instance.sample(SimulationConfig.quick(), 5)
-        expected = solve_instance("haste-offline:c=4", inst).content_hash()
+        expected = [solve_instance(spec, inst).content_hash() for spec in specs]
         code = (
             "from repro.online import distributed\n"
             "from repro.sim import SimulationConfig\n"
             "from repro.solvers import Instance, solve_instance\n"
             "assert distributed._C is None\n"
             "inst = Instance.sample(SimulationConfig.quick(), 5)\n"
-            "print(solve_instance('haste-offline:c=4', inst).content_hash())\n"
+            f"for spec in {specs!r}:\n"
+            "    print(solve_instance(spec, inst).content_hash())\n"
         )
         repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ)
@@ -363,7 +365,7 @@ class TestSweepPaths:
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == expected
+        assert proc.stdout.split() == expected
 
 
 needs_ckernel = pytest.mark.skipif(
@@ -457,11 +459,36 @@ class TestCompiledSweep:
         _assert_sweeps_match(net, num_colors, 11, monkeypatch)
 
 
+class _SlotKernelSpy:
+    """The compiled module with its ``negotiate_slot`` calls counted, or,
+    with ``allow=False``, failing the test; everything else passes through."""
+
+    def __init__(self, kernel, allow: bool = True):
+        self._kernel, self._allow, self.slot_calls = kernel, allow, 0
+
+    def negotiate_slot(self, *args):
+        if not self._allow:
+            raise AssertionError("compiled slot kernel used")
+        self.slot_calls += 1
+        return self._kernel.negotiate_slot(*args)
+
+    def __getattr__(self, name):
+        return getattr(self._kernel, name)
+
+
+def _assert_windows_match(a, b) -> None:
+    assert a.table == b.table
+    assert a.commit_trace == b.commit_trace
+    assert a.stats == b.stats
+    assert a.proposal_evals == b.proposal_evals
+    assert a.proposal_cache_hits == b.proposal_cache_hits
+
+
 @needs_ckernel
-@pytest.mark.parametrize("seed", SEEDS)
 class TestCKernelProtocolEquivalence:
     """Same seeds → same negotiation outcome with and without the C path."""
 
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_negotiation_identical_without_c(self, seed, monkeypatch):
         from repro.online import distributed
         from repro.online.distributed import negotiate_window
@@ -481,6 +508,7 @@ class TestCKernelProtocolEquivalence:
         assert res_c.stats == res_py.stats
         assert res_c.commit_trace == res_py.commit_trace
 
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_online_run_identical_without_c(self, seed, monkeypatch):
         from repro.online import distributed
 
@@ -492,6 +520,7 @@ class TestCKernelProtocolEquivalence:
         assert ref.total_utility == opt.total_utility
         assert ref.stats == opt.stats
 
+    @pytest.mark.parametrize("seed", SEEDS)
     def test_scalar_required_energy_identical_without_c(self, seed, monkeypatch):
         """A network-wide scalar required energy reaches the kernels at full
         length (one entry per receivable column)."""
@@ -508,3 +537,92 @@ class TestCKernelProtocolEquivalence:
         ref = run_online_haste(net, rng=np.random.default_rng(1))
         assert np.array_equal(ref.schedule.sel, opt.schedule.sel)
         assert ref.total_utility == opt.total_utility
+
+    def test_online_run_at_benchmark_scale_identical_without_c(self, monkeypatch):
+        """One run at the default online scale (n=25, m=100, 60 slots)."""
+        from repro.online import distributed
+
+        net = make_net(7, SimulationConfig())
+        spy = _SlotKernelSpy(distributed._C)
+        monkeypatch.setattr(distributed, "_C", spy)
+        opt = run_online_haste(net, rng=np.random.default_rng(7))
+        assert spy.slot_calls > 0
+        monkeypatch.setattr(distributed, "_C", None)
+        ref = run_online_haste(net, rng=np.random.default_rng(7))
+        assert opt.schedule.sel.tobytes() == ref.schedule.sel.tobytes()
+        assert opt.total_utility == ref.total_utility
+        assert opt.stats == ref.stats
+        assert opt.events == ref.events
+
+    def test_lossy_bus_window_identical_without_c(self, monkeypatch):
+        """An explicit null-fault lossy bus, as shard reconcile passes it:
+        the counts land on the caller's bus."""
+        from repro.faults import FaultModel
+        from repro.faults.bus import LossyMessageBus
+        from repro.online import distributed
+        from repro.online.distributed import negotiate_window
+
+        net = make_net(19, SimulationConfig())
+        banked = np.random.default_rng(19).uniform(0.0, 2000.0, net.m)
+
+        def window():
+            bus = LossyMessageBus(list(net.neighbors), FaultModel().injector(net.n))
+            res = negotiate_window(
+                net, HasteObjective(net), list(range(20, 40)), 4,
+                rng=np.random.default_rng(19), initial_energies=banked, bus=bus,
+            )
+            assert res.stats is bus.stats
+            return res
+
+        spy = _SlotKernelSpy(distributed._C)
+        monkeypatch.setattr(distributed, "_C", spy)
+        opt = window()
+        assert spy.slot_calls > 0 and opt.table
+        monkeypatch.setattr(distributed, "_C", None)
+        _assert_windows_match(opt, window())
+
+    @pytest.mark.parametrize("route", ["async", "log-utility"])
+    def test_python_loop_routes_identical_without_c(self, route, monkeypatch):
+        """With the kernel loaded, the asynchronous model and non-linear
+        utilities take the Python loop, and it matches the NumPy path."""
+        from repro.online import distributed
+        from repro.online.distributed import negotiate_window
+
+        net = make_net(7)
+        utility = LogUtility(net.required_energy) if route == "log-utility" else None
+        dropout = 0.3 if route == "async" else 0.0
+
+        def window():
+            return negotiate_window(
+                net, HasteObjective(net, utility), list(range(8)), 4,
+                rng=np.random.default_rng(7), async_dropout=dropout,
+                async_rng=np.random.default_rng(8),
+            )
+
+        monkeypatch.setattr(
+            distributed, "_C", _SlotKernelSpy(distributed._C, allow=False)
+        )
+        opt = window()
+        assert opt.table
+        monkeypatch.setattr(distributed, "_C", None)
+        _assert_windows_match(opt, window())
+
+    def test_more_samples_than_a_word_identical_without_c(self, monkeypatch):
+        """80 samples: row sets wider than 64 bits stay on the compiled path."""
+        from repro.online import distributed
+        from repro.online.distributed import negotiate_window
+
+        net = make_net(123, SimulationConfig())
+
+        def window():
+            return negotiate_window(
+                net, HasteObjective(net), list(range(20, 30)), 4,
+                rng=np.random.default_rng(123), num_samples=80,
+            )
+
+        spy = _SlotKernelSpy(distributed._C)
+        monkeypatch.setattr(distributed, "_C", spy)
+        opt = window()
+        assert spy.slot_calls > 0 and opt.table
+        monkeypatch.setattr(distributed, "_C", None)
+        _assert_windows_match(opt, window())

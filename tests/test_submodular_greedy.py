@@ -148,6 +148,18 @@ class TestColorSampler:
         with pytest.raises(ValueError):
             ColorSampler(["g", "g"], 2, 4, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("num_colors", [1, 2, 4, 7])
+    @pytest.mark.parametrize("count", [0, 1, 700])
+    def test_batched_final_draw_matches_scalar_draws(self, num_colors, count):
+        """The final color draws take one size-N draw where N scalar draws
+        ran before: same values, same generator state afterwards."""
+        scalar, batched = np.random.default_rng(11), np.random.default_rng(11)
+        for rng in (scalar, batched):
+            ColorSampler(range(5), num_colors, 24, rng)  # the 2-D table draw
+        one_by_one = [int(scalar.integers(0, num_colors)) for _ in range(count)]
+        assert batched.integers(0, num_colors, size=count).tolist() == one_by_one
+        assert scalar.bit_generator.state == batched.bit_generator.state
+
     def test_exact_color_average(self):
         # v(c) = c_g1 + 2·c_g2 with colors in {0, 1} → E = 0.5 + 1.0.
         val = exact_color_average(
