@@ -19,6 +19,12 @@ Re-record after an intentional change with::
     PYTHONPATH=src python benchmarks/slo_smoke.py --update-baseline
     REPRO_DISABLE_CKERNEL=1 PYTHONPATH=src python benchmarks/slo_smoke.py --update-baseline
 
+A re-record replays the stream ``RECORD_RUNS`` times and records each
+load's median p99 and the median calibration: one run's p99 over ~23
+arrivals is in effect its slowest arrival, so a single slow arrival
+would otherwise set the baseline.  It exits 2 if the runs disagree on a
+digest or utility.
+
 ``--inject-slowdown-ms N`` wraps the negotiation step in an N ms sleep
 before running — a deliberate latency regression used by CI (and the
 tests) to prove the gate actually trips.
@@ -27,6 +33,7 @@ tests) to prove the gate actually trips.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -39,6 +46,9 @@ BASELINE_PATH = Path(__file__).resolve().parent / "slo_baseline.json"
 #: The pinned stream: tiny but non-trivial (bursty, two load points).
 PINNED_MODEL = dict(process="mmpp", rate=1.5, horizon_slots=10, seed=2043)
 PINNED_LOADS = (1.0, 2.0)
+
+#: Stream replays a baseline re-record takes the median over.
+RECORD_RUNS = 3
 
 
 def pinned_report():
@@ -53,6 +63,28 @@ def pinned_report():
         loads=PINNED_LOADS,
         telemetry=True,
     )
+
+
+def median_report(reports):
+    """``reports[0]`` with each load's p99 the median over ``reports``.
+
+    Raises ValueError when the runs disagree on a digest or utility —
+    the replay is not deterministic, so no baseline can describe it.
+    """
+    first = reports[0]
+    for other in reports[1:]:
+        for p, q in zip(first.points, other.points):
+            if (p["digest"], p["utility"]) != (q["digest"], q["utility"]):
+                raise ValueError(
+                    f"runs disagree at load {p['load']:g}: digest "
+                    f"{p['digest'][:12]} vs {q['digest'][:12]}, utility "
+                    f"{p['utility']!r} vs {q['utility']!r}"
+                )
+    for j, p in enumerate(first.points):
+        p["latency"]["p99"] = statistics.median(
+            r.points[j]["latency"]["p99"] for r in reports
+        )
+    return first
 
 
 def inject_slowdown(ms: float) -> None:
@@ -92,26 +124,37 @@ def main() -> int:
         update_baseline,
     )
 
+    if args.update_baseline and args.inject_slowdown_ms > 0:
+        print("error: refusing to record a baseline with an injected "
+              "slowdown", file=sys.stderr)
+        return 2
     if args.inject_slowdown_ms > 0:
         inject_slowdown(args.inject_slowdown_ms)
         print(f"(injected {args.inject_slowdown_ms:g}ms negotiation slowdown)")
 
-    calib = run_calibration()
-    report = pinned_report()
+    calibs, reports = [], []
+    for _ in range(RECORD_RUNS if args.update_baseline else 1):
+        calibs.append(run_calibration())
+        reports.append(pinned_report())
+    calib, report = calibs[0], reports[0]
     print(report.summary())
 
     if args.update_baseline:
-        if args.inject_slowdown_ms > 0:
-            print("error: refusing to record a baseline with an injected "
-                  "slowdown", file=sys.stderr)
+        try:
+            report = median_report(reports)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 2
         try:
             baseline = load_baseline(args.baseline)
         except FileNotFoundError:
             baseline = None
-        baseline = update_baseline(baseline, report, calib)
+        baseline = update_baseline(
+            baseline, report, statistics.median(calibs)
+        )
         save_baseline(baseline, args.baseline)
-        print(f"baseline entry [{report.kernel}] written to {args.baseline}")
+        print(f"baseline entry [{report.kernel}] (median p99 of "
+              f"{RECORD_RUNS} runs) written to {args.baseline}")
         return 0
 
     try:

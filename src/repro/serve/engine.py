@@ -8,9 +8,10 @@ harness) sit on.  One engine holds:
   HTTP 503), so a burst degrades to fast refusals instead of unbounded
   memory growth;
 * a **worker pool** of threads, each resolving spec strings locally via
-  :func:`~repro.solvers.registry.get_solver`, plus a **supervisor**
-  thread that detects crashed workers, restarts them, and counts the
-  restarts (``serve.worker_restarts``) — a request that kills a worker
+  :func:`~repro.solvers.registry.get_solver`; a worker that a request
+  kills starts its replacement before that request is answered, and a
+  **supervisor** thread restarts workers that die any other way (both
+  counted in ``serve.worker_restarts``) — a request that kills a worker
   is quarantined instead of wedging the queue;
 * a **prepared-state cache**: requests for the same
   ``Instance.content_hash`` share one :class:`~repro.solvers.prepared.
@@ -24,10 +25,37 @@ harness) sit on.  One engine holds:
   without solving again, and *concurrent* identical requests collapse
   single-flight onto one execution (``serve.inflight_dedup``).
 
-Resilience (PR 9, DESIGN.md §13) threads through every request:
+Every request takes one pipeline (DESIGN.md §12); a solo request is a
+group of one:
+
+1. **Admit** — each gate once, in this order: result-cache hit
+   (answered at once), single-flight (an identical request in flight
+   makes this one its follower), quarantine, deadline, circuit breaker.
+2. **Group** — only when the admitted request needs a solve on a
+   solver registered with a batched kernel (``batch_fn``), the worker
+   drains up to ``coalesce_max - 1`` queued items and admits each
+   through the same gates.  Those sharing the leader's canonical spec
+   and dtype join its group; the others are served afterwards as groups
+   of their own, without draining again.
+3. **Solve** — one call per group: a group of one calls
+   ``solve_prepared`` (``solve_prepared_batch([p], dtype=float32)`` for
+   a float32 request), a larger group ``solve_prepared_batch``, which is
+   bit-identical at float64 (pinned by ``tests/test_serve.py``).  If a
+   larger group fails, each member is retried as a group of one.
+4. **Finish** — per member: breaker, result cache, latency, reply.
+   Requests a gate tripped then walk the degradation ladder, and
+   followers take their leader's answer.
+
+Only ``ServeResult.coalesced`` and the ``coalesced_batches``/
+``coalesced_requests`` counters reveal a group larger than one.
+``submit(dtype=np.float32)`` opts a request into the single-precision
+batched kernel (DESIGN.md §14); float32 results are cached under a
+*distinct* result-cache key so they can never answer a float64 request.
+
+Resilience (DESIGN.md §13) threads through the pipeline:
 
 * **deadlines** — a per-request monotonic :class:`~repro.serve.
-  resilience.Deadline` checked cooperatively at phase seams (dequeue,
+  resilience.Deadline` checked cooperatively at phase seams (admission,
   fault injection, prepare, per-rung), so no request outlives its budget
   beyond the daemon's watchdog grace;
 * a per-spec **circuit breaker** (closed/open/half-open) that learns
@@ -39,25 +67,9 @@ Resilience (PR 9, DESIGN.md §13) threads through every request:
   error;
 * an optional seeded **process fault injector**
   (:class:`~repro.faults.process.ProcessFaultModel`) driving the chaos
-  suite — a null (or absent) model leaves every request on the exact
-  PR 8 path, bit for bit.
-
-Micro-batch coalescing (PR 10, DESIGN.md §14): when a worker dequeues a
-request for a solver registered with a batched kernel (``batch_fn``), it
-opportunistically drains up to ``coalesce_max - 1`` already-queued
-requests for the *same canonical spec and dtype* and answers the whole
-group with one :meth:`~repro.solvers.registry.BoundSolver.
-solve_prepared_batch` call.  At float64 the batched kernel is
-bit-identical to per-request solves, so coalescing is invisible in the
-artifacts (pinned by ``tests/test_serve.py``); only
-``ServeResult.coalesced`` and the ``coalesced_batches``/
-``coalesced_requests`` counters reveal it.  Degraded and skip-primary
-resubmissions never coalesce, chaos runs (an active fault injector)
-disable coalescing entirely, and result-cache hits, single-flight
-dedup, quarantine, and deadline gates are applied per member exactly as
-on the solo path.  ``submit(dtype=np.float32)`` opts a request into the
-single-precision batched kernel; float32 results are cached under a
-*distinct* result-cache key so they can never answer a float64 request.
+  suite — it disables grouping, so recorded traces replay unchanged,
+  and a null (or absent) model leaves every request on the exact
+  healthy path, bit for bit.
 
 Telemetry: the engine always feeds its own
 :class:`~repro.obs.windows.WindowedHistogram` of request latency
@@ -173,6 +185,35 @@ class _Job:
     dtype: object = None
 
 
+class _Request:
+    """One dequeued submission on its way through the pipeline.
+
+    :meth:`ScheduleEngine._admit` resolves the solver, content hash,
+    effective seed and idempotency key.  A pending request then carries
+    at most one of ``reason`` (walk the degradation ladder) and
+    ``leader`` (take an in-flight request's answer); with neither it is
+    owed a solve.
+    """
+
+    __slots__ = (
+        "fut", "job", "enqueued", "pending", "queued_s", "solver",
+        "canonical", "content", "effective", "key", "cacheable", "reason",
+        "leader",
+    )
+
+    def __init__(self, fut: Future, job: _Job, enqueued: float) -> None:
+        self.fut, self.job, self.enqueued = fut, job, enqueued
+        #: still owed an answer by this worker
+        self.pending = True
+        self.key: tuple | None = None
+        self.reason: str | None = None
+        self.leader: Future | None = None
+
+    @property
+    def solving(self) -> bool:
+        return self.pending and self.reason is None and self.leader is None
+
+
 class ScheduleEngine:
     """Long-lived warm-state solver: submit requests, get artifacts."""
 
@@ -262,7 +303,7 @@ class ScheduleEngine:
         self._lock = threading.Lock()
         self._closed = False
         self._draining = False
-        self._results: OrderedDict[tuple, tuple[RunArtifact, str]] = OrderedDict()
+        self._results: OrderedDict[tuple, RunArtifact] = OrderedDict()
         self._result_capacity = int(result_cache_capacity)
         self._inflight: dict[tuple, Future] = {}
         self._quarantine: dict[tuple, int] = {}
@@ -284,9 +325,6 @@ class ScheduleEngine:
         self.inflight_dedup = 0
         self.coalesced_batches = 0
         self.coalesced_requests = 0
-        #: worker thread idents that must exit after their current item
-        #: (a coalescing drain consumed their _SHUTDOWN sentinel)
-        self._deferred_exit: set[int] = set()
         self._stop = threading.Event()
         self._workers = [
             threading.Thread(
@@ -429,49 +467,33 @@ class ScheduleEngine:
     def _worker_loop(self) -> None:
         while True:
             item = self._queue.get()
-            died = False
-            try:
-                if item is _SHUTDOWN:
-                    return
-                fut, job, enqueued = item
-                if not fut.set_running_or_notify_cancel():
-                    continue
-                try:
-                    fut.set_result(self._execute(job, enqueued, fut))
-                except Exception as exc:
-                    with self._lock:
-                        self.errors += 1
-                    obs.inc("serve.errors")
-                    fut.set_exception(exc)
-                except BaseException as exc:
-                    # A worker-killing crash: answer/requeue the poisoning
-                    # request, quarantine it, and let this thread die
-                    # (quietly — the supervisor restarts a replacement).
-                    self._note_poison(fut, job, enqueued, exc)
-                    died = True
-                finally:
-                    with self._lock:
-                        key = getattr(fut, "_engine_key", None)
-                        if key is not None and self._inflight.get(key) is fut:
-                            del self._inflight[key]
-            finally:
+            if item is _SHUTDOWN:
                 self._queue.task_done()
+                return
+            reqs = [_Request(*item)]
+            try:
+                exit_after = self._serve(reqs)
+            finally:
+                with self._lock:
+                    for req in reqs:
+                        if self._inflight.get(req.key) is req.fut:
+                            del self._inflight[req.key]
+                for _ in reqs:
+                    self._queue.task_done()
                 obs.set_gauge("serve.queue_depth", self._queue.qsize())
-            if died or self._check_deferred_exit():
+            if exit_after:
                 return
 
-    def _check_deferred_exit(self) -> bool:
-        """Whether this worker consumed a _SHUTDOWN while coalescing."""
-        ident = threading.get_ident()
-        with self._lock:
-            if ident in self._deferred_exit:
-                self._deferred_exit.discard(ident)
-                return True
-        return False
+    def _note_poison(self, req: _Request, exc: BaseException) -> None:
+        """Handle a request that killed its worker (quarantine + answer).
 
-    def _note_poison(self, fut: Future, job: _Job, enqueued, exc) -> None:
-        """Handle a request that killed its worker (quarantine + answer)."""
-        key = getattr(fut, "_engine_key", None)
+        The dying worker hands its slot to a replacement *before* the
+        request is answered, so the pool is back at full strength by the
+        time the caller hears of the crash; the supervisor restarts
+        threads that die any other way.
+        """
+        self._replace_worker(threading.current_thread())
+        job, key = req.job, req.key
         with self._lock:
             self.worker_crashes += 1
             self.errors += 1
@@ -512,21 +534,17 @@ class ScheduleEngine:
             def _bridge(done: Future) -> None:
                 err = done.exception()
                 if err is not None:
-                    fut.set_exception(err)
+                    req.fut.set_exception(err)
                 else:
-                    fut.set_result(done.result())
+                    req.fut.set_result(done.result())
 
             retry_fut.add_done_callback(_bridge)
             try:
-                self._queue.put_nowait((retry_fut, retry_job, enqueued))
+                self._queue.put_nowait((retry_fut, retry_job, req.enqueued))
                 return
             except queue.Full:
                 pass
-        fut.set_exception(crash_error)
-
-    def _is_quarantined(self, key: tuple) -> bool:
-        with self._lock:
-            return self._quarantine.get(key, 0) >= self.quarantine_after
+        req.fut.set_exception(crash_error)
 
     def _supervise_loop(self) -> None:
         interval = max(0.01, self.supervision_interval_s)
@@ -534,155 +552,192 @@ class ScheduleEngine:
             if self._closed:
                 return
             with self._lock:
-                snapshot = list(enumerate(self._workers))
-            for i, t in snapshot:
-                if t.is_alive():
-                    continue
-                replacement = threading.Thread(
-                    target=self._worker_loop, name=t.name, daemon=True
-                )
-                with self._lock:
-                    if self._closed or self._workers[i] is not t:
-                        continue
-                    self._workers[i] = replacement
-                    self.worker_restarts += 1
-                replacement.start()
-                obs.inc("serve.worker_restarts")
-                obs.event(
-                    "serve.worker_restart", level="warning", worker=t.name
-                )
+                dead = [t for t in self._workers if not t.is_alive()]
+            for t in dead:
+                self._replace_worker(t)
+
+    def _replace_worker(self, old: threading.Thread) -> None:
+        """Start a fresh worker thread in ``old``'s slot (not once closed).
+
+        The replacement starts under the lock, so the other replacer
+        (the dying worker or the supervisor) never sees a not-yet-started
+        thread in the pool, takes it for dead and starts a second one
+        that ``close()`` would never stop.
+        """
+        with self._lock:
+            if self._closed or old not in self._workers:
+                return
+            replacement = threading.Thread(
+                target=self._worker_loop, name=old.name, daemon=True
+            )
+            replacement.start()
+            self._workers[self._workers.index(old)] = replacement
+            self.worker_restarts += 1
+        obs.inc("serve.worker_restarts")
+        obs.event("serve.worker_restart", level="warning", worker=old.name)
 
     # ------------------------------------------------------------------
-    # Request execution
+    # The request pipeline: admit → group → solve → finish
     # ------------------------------------------------------------------
-    def _execute(self, job: _Job, enqueued: float, fut: Future) -> ServeResult:
-        queued_s = time.perf_counter() - enqueued
+    def _serve(self, reqs: list[_Request]) -> bool:
+        """Answer ``reqs[0]`` and the group it may drain behind it.
+
+        Drained items are appended to ``reqs``; the caller owes each a
+        ``task_done``.  Returns whether this worker must exit afterwards:
+        a request killed it, or the drain took a ``_SHUTDOWN`` sentinel.
+        """
+        died = self._settle(reqs[0], self._admit)
+        shutdown = False
+        if reqs[0].solving and self._groupable(reqs[0]):
+            drained, shutdown = self._drain()
+            for item in drained:
+                reqs.append(_Request(*item))
+                died |= self._settle(reqs[-1], self._admit)
+        # Members sharing the leader's canonical spec and dtype solve in
+        # its group; the others form groups of their own, without
+        # draining again.
+        groups: dict = {}
+        for req in reqs:
+            if req.solving:
+                same = (req.canonical, req.job.dtype)
+                groups.setdefault(
+                    same if self._groupable(req) else req, []
+                ).append(req)
+        for group in groups.values():
+            died |= self._solve_group(group)
+        for req in reqs:
+            if req.pending and req.reason is not None:
+                died |= self._settle(req, self._solve_degraded)
+        # Followers last: every member is answered before any follower
+        # waits, and followers own no key, so no two workers can wait on
+        # each other.  Followers of a group member go first — that member
+        # is answered already, so the worker never waits on itself.
+        followers = [r for r in reqs if r.pending and r.leader is not None]
+        for req in sorted(followers, key=lambda r: not r.leader.done()):
+            died |= self._settle(req, self._await_leader)
+        return died or shutdown
+
+    def _settle(self, req: _Request, step) -> bool:
+        """Run one pipeline ``step`` for ``req`` and answer its outcome.
+
+        A returned :class:`ServeResult` answers the request; ``None``
+        leaves it to a later step.  An exception answers it as an
+        error.  A worker-killing crash (a ``BaseException``) answers or
+        requeues it via :meth:`_note_poison`, which also starts this
+        worker's replacement, and returns True: the worker exits once
+        its other requests are answered.
+        """
+        died = False
+        try:
+            result = step(req)
+            if result is None:
+                return False
+            req.fut.set_result(result)
+        except Exception as exc:
+            with self._lock:
+                self.errors += 1
+            obs.inc("serve.errors")
+            req.fut.set_exception(exc)
+        except BaseException as exc:
+            self._note_poison(req, exc)
+            died = True
+        req.pending = False
+        return died
+
+    def _admit(self, req: _Request) -> ServeResult | None:
+        """Admit: run one request through every gate, each written once.
+
+        Returns the reply for a result-cache hit.  Otherwise ``req`` is
+        left following an in-flight leader (``req.leader``), tripped to
+        the degradation ladder (``req.reason``), or owed a solve; a gate
+        that refuses a request with degradation off raises its typed
+        error.
+        """
+        if not req.fut.set_running_or_notify_cancel():
+            req.pending = False  # cancelled while queued
+            return None
+        job, instance = req.job, req.job.instance
+        req.queued_s = time.perf_counter() - req.enqueued
         # Spec strings resolve in the worker (sim/runner.py's pattern) —
         # the canonical form is also the result-cache key component.
-        solver = get_solver(job.spec)
-        canonical = solver.canonical()
-        instance = job.instance
-        content = instance.content_hash()
-        effective = job.seed if job.seed is not None else instance.seed
-
-        key = self._result_key(content, canonical, effective, job.dtype)
-        fut._engine_key = key  # poison quarantine + in-flight cleanup
+        req.solver = get_solver(job.spec)
+        req.canonical = canonical = req.solver.canonical()
+        req.content = content = instance.content_hash()
+        req.effective = job.seed if job.seed is not None else instance.seed
+        req.key = key = self._result_key(
+            content, canonical, req.effective, job.dtype
+        )
         # A degrade-only resubmission (worker crash / daemon watchdog)
         # bypasses the result cache *and* single-flight dedup: its key is
         # the very request it replaces, so following that (possibly
         # wedged) leader would block instead of degrading.
-        cacheable = (
+        req.cacheable = (
             job.use_result_cache
-            and effective is not None
+            and req.effective is not None
             and not job.skip_primary
         )
-        if cacheable:
+        if req.cacheable:
+            # Result cache, then single-flight in the same lock round:
+            # concurrent identical seeded requests collapse onto one
+            # execution — the idempotency guarantee retrying clients rely
+            # on (no request is ever double-executed).
             with self._lock:
                 hit = self._results.get(key)
                 if hit is not None:
                     self._results.move_to_end(key)
                     self.result_hits += 1
                     self.completed += 1
+                else:
+                    self.result_misses += 1
+                    leader = self._inflight.get(key)
+                    if leader is None or leader.done():
+                        self._inflight[key] = req.fut
+                    else:
+                        req.leader = leader
             if hit is not None:
                 obs.inc("serve.result_cache_hits")
-                self._observe_latency(solver.name, queued_s)
+                self._observe_latency(req.solver.name, req.queued_s)
                 return ServeResult(
-                    artifact=hit[0],
+                    artifact=hit,
                     spec=canonical,
                     instance_hash=content,
-                    seed=effective,
+                    seed=req.effective,
                     cached=True,
                     warm=True,
                     solve_s=0.0,
-                    queued_s=queued_s,
+                    queued_s=req.queued_s,
                 )
-            with self._lock:
-                self.result_misses += 1
             obs.inc("serve.result_cache_misses")
+            if req.leader is not None:
+                return None
 
-        # Single-flight: concurrent identical seeded requests collapse
-        # onto one execution — the idempotency guarantee retrying clients
-        # rely on (no request is ever double-executed).
-        if cacheable:
+        deadline = job.deadline
+        degradable = job.degrade and self._ladder is not None
+        if job.skip_primary:
+            req.reason = job.degrade_reason or "crash"
+        elif self._is_quarantined(key):
+            if not degradable:
+                raise RequestQuarantined(
+                    f"request {content[:12]}×{canonical} previously crashed "
+                    f"a worker and is quarantined"
+                )
+            req.reason = "quarantine"
+        elif deadline is not None and deadline.expired():
             with self._lock:
-                leader = self._inflight.get(key)
-                if leader is None or leader is fut or leader.done():
-                    self._inflight[key] = fut
-                    leader = None
-            if leader is not None:
-                return self._await_leader(
-                    leader, job, solver, canonical, content, effective,
-                    queued_s,
-                )
+                self.deadline_expired += 1
+            obs.inc("serve.deadline_expired")
+            if not degradable:
+                deadline.check(canonical)  # raises DeadlineExceeded
+            req.reason = "deadline"
+        elif self._breaker is not None and not self._breaker.allow(canonical):
+            if not degradable:
+                raise BreakerOpen(f"circuit breaker open for {canonical}")
+            req.reason = "breaker"
+        return None
 
-        return self._solve_job(
-            job, solver, canonical, instance, content, effective, key,
-            cacheable, queued_s,
-        )
-
-    def _await_leader(
-        self, leader, job: _Job, solver, canonical, content, effective,
-        queued_s,
-    ) -> ServeResult:
-        """Wait on an identical in-flight request's result — *bounded*.
-
-        The wait polls instead of blocking: between polls the follower
-        checks its cancel token and deadline, and a deadline-less
-        follower gives up after :data:`FOLLOWER_MAX_WAIT_S`, so a wedged
-        leader never pins follower worker threads along with its own.
-        A stuck or cancelled wait falls through to the degradation
-        ladder (typed :class:`DeadlineExceeded` when degradation is
-        off).
-        """
+    def _is_quarantined(self, key: tuple) -> bool:
         with self._lock:
-            self.inflight_dedup += 1
-        obs.inc("serve.inflight_dedup")
-        deadline, token = job.deadline, job.token
-        budget = (
-            max(deadline.remaining(), 0.01)
-            if deadline is not None
-            else FOLLOWER_MAX_WAIT_S
-        )
-        limit = time.monotonic() + budget
-        while True:
-            try:
-                lead: ServeResult = leader.result(
-                    timeout=min(
-                        _FOLLOWER_POLL_S,
-                        max(limit - time.monotonic(), 0.001),
-                    )
-                )
-                break
-            except FutureTimeout:
-                if not token.cancelled and time.monotonic() < limit:
-                    continue
-                reason = "watchdog" if token.cancelled else "deadline"
-                if job.degrade and self._ladder is not None:
-                    return self._solve_degraded(
-                        job, canonical, job.instance, content, effective,
-                        queued_s, reason,
-                    )
-                raise DeadlineExceeded(
-                    f"gave up waiting on an identical in-flight request "
-                    f"for {canonical} after {budget:.3f}s"
-                ) from None
-        with self._lock:
-            self.completed += 1
-        self._observe_latency(solver.name, queued_s)
-        return ServeResult(
-            artifact=lead.artifact,
-            spec=lead.spec,
-            instance_hash=content,
-            seed=effective,
-            cached=True,
-            warm=True,
-            solve_s=0.0,
-            queued_s=queued_s,
-            deduped=True,
-            degraded=lead.degraded,
-            degraded_from=lead.degraded_from,
-            degrade_reason=lead.degrade_reason,
-        )
+            return self._quarantine.get(key, 0) >= self.quarantine_after
 
     @staticmethod
     def _result_key(content, canonical, effective, dtype) -> tuple:
@@ -696,552 +751,200 @@ class ScheduleEngine:
             return (content, canonical, effective, "float32")
         return (content, canonical, effective)
 
-    def _solve_job(
-        self, job: _Job, solver, canonical, instance, content, effective,
-        key, cacheable, queued_s, *, coalesce: bool = True,
-    ) -> ServeResult:
-        deadline, token = job.deadline, job.token
-        degradable = job.degrade and self._ladder is not None
-        reason: str | None = None
-        if job.skip_primary:
-            reason = job.degrade_reason or "crash"
-        elif self._is_quarantined(key):
-            if not degradable:
-                raise RequestQuarantined(
-                    f"request {content[:12]}×{canonical} previously crashed "
-                    f"a worker and is quarantined"
-                )
-            reason = "quarantine"
-        elif deadline is not None and deadline.expired():
-            with self._lock:
-                self.deadline_expired += 1
-            obs.inc("serve.deadline_expired")
-            if not degradable:
-                deadline.check(canonical)  # raises DeadlineExceeded
-            reason = "deadline"
-        elif self._breaker is not None and not self._breaker.allow(canonical):
-            if not degradable:
-                raise BreakerOpen(f"circuit breaker open for {canonical}")
-            reason = "breaker"
+    def _groupable(self, req: _Request) -> bool:
+        """Whether ``req`` may share one solve call with other requests.
 
-        if reason is None:
-            if coalesce and self._coalesceable(job, solver):
-                group = self._drain_followers()
-                if group:
-                    return self._solve_coalesced(
-                        job, solver, canonical, content, effective, key,
-                        cacheable, queued_s, group,
-                    )
-            start = time.perf_counter()
-            try:
-                artifact, warm = self._solve_once(
-                    solver, canonical, instance, content, effective,
-                    job.config, deadline, token, inject=True,
-                    dtype=job.dtype,
-                )
-            except DeadlineExceeded:
-                if self._breaker is not None:
-                    self._breaker.record_failure(canonical)
-                with self._lock:
-                    self.deadline_expired += 1
-                obs.inc("serve.deadline_expired")
-                if not degradable:
-                    raise
-                reason = "deadline"
-            except InjectedWorkerCrash:
-                if self._breaker is not None:
-                    self._breaker.record_failure(canonical)
-                raise
-            except Exception:
-                if self._breaker is not None:
-                    self._breaker.record_failure(canonical)
-                raise
-            else:
-                if self._breaker is not None:
-                    self._breaker.record_success(canonical)
-                solve_s = time.perf_counter() - start
-                if cacheable:
-                    with self._lock:
-                        self._results[key] = (artifact, artifact.content_hash())
-                        while len(self._results) > self._result_capacity:
-                            self._results.popitem(last=False)
-                            self.result_evictions += 1
-                with self._lock:
-                    self.completed += 1
-                self._observe_latency(solver.name, queued_s + solve_s)
-                return ServeResult(
-                    artifact=artifact,
-                    spec=canonical,
-                    instance_hash=content,
-                    seed=effective,
-                    cached=False,
-                    warm=warm,
-                    solve_s=solve_s,
-                    queued_s=queued_s,
-                )
-
-        return self._solve_degraded(
-            job, canonical, instance, content, effective, queued_s, reason
-        )
-
-    # ------------------------------------------------------------------
-    # Opportunistic micro-batch coalescing
-    # ------------------------------------------------------------------
-    def _coalesceable(self, job: _Job, solver) -> bool:
-        """Whether this request may lead an opportunistic micro-batch.
-
-        Chaos runs (an active fault injector) and degraded/skip-primary
-        resubmissions never coalesce — those stay on the exact
-        per-request path, bit for bit.
+        Only solvers registered with a batched kernel group.  Chaos runs
+        (an active fault injector) and resubmissions keep the exact
+        per-request path, so recorded fault traces replay unchanged.
         """
         return (
             self.coalesce_max >= 2
             and self._injector is None
-            and not job.skip_primary
-            and job.degrade_reason is None
-            and solver._batchable()
+            and req.job.degrade_reason is None
+            and req.solver._batchable()
         )
 
-    def _drain_followers(self) -> list[tuple]:
-        """Non-blockingly drain up to ``coalesce_max - 1`` queued items.
+    def _drain(self) -> tuple[list, bool]:
+        """Take up to ``coalesce_max - 1`` queued items without blocking.
 
-        Every drained item is *owned* by the caller — answered in
-        :meth:`_solve_coalesced` (batched, deduped, degraded, or run
-        solo) and matched with one ``task_done`` there.  Nothing is ever
-        put back, so a full queue can never deadlock the drain.  A
-        drained ``_SHUTDOWN`` sentinel stops the drain and marks this
-        worker for exit after the current group (close() is tearing
-        down).
+        Nothing is ever put back, so a full queue can never deadlock the
+        drain.  A ``_SHUTDOWN`` sentinel ends it and is reported: this
+        worker exits once its requests are answered (``close()`` is
+        tearing down).
         """
-        drained: list[tuple] = []
-        limit = self.coalesce_max - 1
-        while len(drained) < limit:
+        drained: list = []
+        while len(drained) < self.coalesce_max - 1:
             try:
                 item = self._queue.get_nowait()
             except queue.Empty:
                 break
             if item is _SHUTDOWN:
                 self._queue.task_done()
-                with self._lock:
-                    self._deferred_exit.add(threading.get_ident())
-                break
+                return drained, True
             drained.append(item)
-        if drained:
-            obs.set_gauge("serve.queue_depth", self._queue.qsize())
-        return drained
+        return drained, False
 
-    def _run_drained(self, fut: Future, job: _Job, enqueued: float) -> None:
-        """Answer one drained-but-uncoalescible item as the worker would.
+    def _solve_group(self, group: list[_Request]) -> bool:
+        """Solve: one call for ``group``, then finish every member.
 
-        Mirrors the ``_worker_loop`` body: regular failures become the
-        future's exception; a worker-killing crash quarantines/requeues
-        via :meth:`_note_poison` and defers this worker's exit (the
-        supervisor restarts a replacement).
+        A group of one makes exactly the solo call, with its deadline
+        checks and fault injection.  If a larger group's call fails, the
+        breaker is charged once and each member is retried as a group of
+        one, where any crash is charged to the member that causes it.
         """
-        if not fut.set_running_or_notify_cancel():
-            return
+        if len(group) == 1:
+            return self._settle(group[0], self._solve_one)
+        lead = group[0]
+        start = time.perf_counter()
         try:
-            fut.set_result(self._execute(job, enqueued, fut))
-        except Exception as exc:
-            with self._lock:
-                self.errors += 1
-            obs.inc("serve.errors")
-            fut.set_exception(exc)
-        except BaseException as exc:
-            self._note_poison(fut, job, enqueued, exc)
-            with self._lock:
-                self._deferred_exit.add(threading.get_ident())
-        finally:
-            with self._lock:
-                key = getattr(fut, "_engine_key", None)
-                if key is not None and self._inflight.get(key) is fut:
-                    del self._inflight[key]
-
-    def _solve_coalesced(
-        self, job: _Job, solver, canonical, content, effective, key,
-        cacheable, queued_s, drained,
-    ) -> ServeResult:
-        """Answer the leader plus a drained group with one batched solve.
-
-        Each drained item is classified exactly as the solo path would
-        have: different-spec/dtype (or resubmitted) items run solo after
-        the batch; result-cache hits answer immediately; quarantined or
-        deadline-expired members degrade; duplicates of an in-group key
-        dedup onto the member's artifact; followers of an *external*
-        in-flight leader wait on it.  The rest — distinct keys, same
-        canonical spec and dtype — solve in one
-        :meth:`~repro.solvers.registry.BoundSolver.solve_prepared_batch`
-        call, bit-identical at float64 to per-member solves.  If the
-        batched kernel raises, every member falls back to its own solo
-        :meth:`_solve_job` (coalescing suppressed), so no request is
-        lost to a batch failure.
-        """
-        now = time.perf_counter()
-        # Members: the leader (fut None — its result is *returned*) plus
-        # every coalesced follower.  Parallel per-member state.
-        members: list[dict] = [
-            dict(
-                fut=None, job=job, content=content, effective=effective,
-                key=key, cacheable=cacheable, queued_s=queued_s,
-                result=None,
+            solved = self._solve_once(
+                lead.solver, lead.canonical, group, dtype=lead.job.dtype
             )
-        ]
-        members_by_key: dict[tuple, int] = {key: 0} if cacheable else {}
-        passthrough: list[tuple] = []  # (fut, job, enqueued) → _run_drained
-        dups: list[tuple] = []         # (fut, content, effective, queued_s, idx)
-        ext_waiters: list[tuple] = []  # (fut, job, leader_fut, content, eff, q)
-        degrades: list[tuple] = []     # (fut, job, content, eff, q, reason)
-        group_futs: list[Future] = []
-        leader_exc: Exception | None = None
-        pending_exc: BaseException | None = None
-        try:
-            for fut2, job2, enq2 in drained:
-                queued2 = now - enq2
-                eligible = (
-                    not job2.skip_primary
-                    and job2.degrade_reason is None
-                    and job2.dtype == job.dtype
-                )
-                if eligible:
-                    try:
-                        eligible = get_solver(job2.spec).canonical() == canonical
-                    except Exception:
-                        eligible = False
-                if not eligible:
-                    passthrough.append((fut2, job2, enq2))
-                    continue
-                if not fut2.set_running_or_notify_cancel():
-                    continue
-                group_futs.append(fut2)
-                instance2 = job2.instance
-                try:
-                    content2 = instance2.content_hash()
-                except Exception as exc:
-                    with self._lock:
-                        self.errors += 1
-                    obs.inc("serve.errors")
-                    fut2.set_exception(exc)
-                    continue
-                effective2 = (
-                    job2.seed if job2.seed is not None else instance2.seed
-                )
-                key2 = self._result_key(
-                    content2, canonical, effective2, job2.dtype
-                )
-                fut2._engine_key = key2
-                cacheable2 = job2.use_result_cache and effective2 is not None
-                if cacheable2:
-                    with self._lock:
-                        hit = self._results.get(key2)
-                        if hit is not None:
-                            self._results.move_to_end(key2)
-                            self.result_hits += 1
-                            self.completed += 1
-                    if hit is not None:
-                        obs.inc("serve.result_cache_hits")
-                        self._observe_latency(solver.name, queued2)
-                        fut2.set_result(
-                            ServeResult(
-                                artifact=hit[0],
-                                spec=canonical,
-                                instance_hash=content2,
-                                seed=effective2,
-                                cached=True,
-                                warm=True,
-                                solve_s=0.0,
-                                queued_s=queued2,
-                            )
-                        )
-                        continue
-                    with self._lock:
-                        self.result_misses += 1
-                    obs.inc("serve.result_cache_misses")
-                degradable2 = job2.degrade and self._ladder is not None
-                if self._is_quarantined(key2):
-                    if not degradable2:
-                        with self._lock:
-                            self.errors += 1
-                        fut2.set_exception(
-                            RequestQuarantined(
-                                f"request {content2[:12]}×{canonical} "
-                                f"previously crashed a worker and is "
-                                f"quarantined"
-                            )
-                        )
-                        continue
-                    degrades.append(
-                        (fut2, job2, content2, effective2, queued2,
-                         "quarantine")
-                    )
-                    continue
-                if job2.deadline is not None and job2.deadline.expired():
-                    with self._lock:
-                        self.deadline_expired += 1
-                    obs.inc("serve.deadline_expired")
-                    if not degradable2:
-                        with self._lock:
-                            self.errors += 1
-                        fut2.set_exception(
-                            DeadlineExceeded(
-                                f"deadline exceeded for {canonical} while "
-                                f"queued for a coalesced solve"
-                            )
-                        )
-                        continue
-                    degrades.append(
-                        (fut2, job2, content2, effective2, queued2,
-                         "deadline")
-                    )
-                    continue
-                if cacheable2:
-                    dup_idx = members_by_key.get(key2)
-                    if dup_idx is not None:
-                        dups.append(
-                            (fut2, content2, effective2, queued2, dup_idx)
-                        )
-                        continue
-                    with self._lock:
-                        leader2 = self._inflight.get(key2)
-                        if leader2 is None or leader2.done():
-                            self._inflight[key2] = fut2
-                            leader2 = None
-                    if leader2 is not None:
-                        ext_waiters.append(
-                            (fut2, job2, leader2, content2, effective2,
-                             queued2)
-                        )
-                        continue
-                idx = len(members)
-                members.append(
-                    dict(
-                        fut=fut2, job=job2, content=content2,
-                        effective=effective2, key=key2,
-                        cacheable=cacheable2, queued_s=queued2,
-                        result=None,
-                    )
-                )
-                if cacheable2:
-                    members_by_key[key2] = idx
-
-            # --- the batched solve over every distinct member ---------
-            batch_error: Exception | None = None
-            artifacts: list[RunArtifact] = []
-            warms: list[bool] = []
-            start = time.perf_counter()
-            try:
-                prepareds, rngs, cfgs = [], [], []
-                for mem in members:
-                    prepared, warm = self._prepared_cache.get_or_prepare(
-                        mem["job"].instance
-                    )
-                    prepareds.append(prepared)
-                    warms.append(warm)
-                    rngs.append(np.random.default_rng(mem["effective"]))
-                    cfg = mem["job"].config
-                    if cfg is None:
-                        cfg = mem["job"].instance.config
-                    cfgs.append(cfg)
-                artifacts = solver.solve_prepared_batch(
-                    prepareds, rngs, cfgs, dtype=job.dtype
-                )
-            except Exception as exc:
-                batch_error = exc
-
-            if batch_error is None:
-                solve_s = time.perf_counter() - start
-                with self._lock:
-                    self.solves += len(members)
-                    self.coalesced_batches += 1
-                    self.coalesced_requests += len(members)
-                obs.inc("serve.coalesced_batches")
-                obs.inc("serve.coalesced_requests", len(members))
-                for mem, artifact, warm in zip(members, artifacts, warms):
-                    if self._breaker is not None:
-                        self._breaker.record_success(canonical)
-                    if mem["cacheable"]:
-                        with self._lock:
-                            self._results[mem["key"]] = (
-                                artifact, artifact.content_hash(),
-                            )
-                            while len(self._results) > self._result_capacity:
-                                self._results.popitem(last=False)
-                                self.result_evictions += 1
-                    with self._lock:
-                        self.completed += 1
-                    self._observe_latency(
-                        solver.name, mem["queued_s"] + solve_s
-                    )
-                    res = ServeResult(
-                        artifact=artifact,
-                        spec=canonical,
-                        instance_hash=mem["content"],
-                        seed=mem["effective"],
-                        cached=False,
-                        warm=warm,
-                        solve_s=solve_s,
-                        queued_s=mem["queued_s"],
-                        coalesced=True,
-                    )
-                    mem["result"] = res
-                    if mem["fut"] is not None:
-                        mem["fut"].set_result(res)
-            else:
-                # The batched kernel failed as a whole: charge the
-                # breaker once, then answer every member with its own
-                # solo solve (coalescing suppressed — no recursion).
-                if self._breaker is not None:
-                    self._breaker.record_failure(canonical)
-                obs.event(
-                    "serve.coalesce_fallback",
-                    level="warning",
-                    spec=canonical,
-                    batch=len(members),
-                    error=repr(batch_error),
-                )
-                for mem in members:
-                    mjob = mem["job"]
-                    try:
-                        res = self._solve_job(
-                            mjob, solver, canonical, mjob.instance,
-                            mem["content"], mem["effective"], mem["key"],
-                            mem["cacheable"], mem["queued_s"],
-                            coalesce=False,
-                        )
-                    except Exception as exc:
-                        if mem["fut"] is None:
-                            leader_exc = exc
-                        else:
-                            with self._lock:
-                                self.errors += 1
-                            obs.inc("serve.errors")
-                            mem["fut"].set_exception(exc)
-                        continue
-                    mem["result"] = res
-                    if mem["fut"] is not None:
-                        mem["fut"].set_result(res)
-
-            # --- in-group duplicates dedup onto their member ----------
-            for fut2, content2, effective2, queued2, idx in dups:
-                lead = members[idx]["result"]
-                if lead is None:
-                    # The member itself failed — give the duplicate its
-                    # own solo attempt rather than inheriting the error.
-                    mjob = members[idx]["job"]
-                    try:
-                        res = self._solve_job(
-                            mjob, solver, canonical, mjob.instance,
-                            content2, effective2, members[idx]["key"],
-                            members[idx]["cacheable"], queued2,
-                            coalesce=False,
-                        )
-                        fut2.set_result(res)
-                    except Exception as exc:
-                        with self._lock:
-                            self.errors += 1
-                        obs.inc("serve.errors")
-                        fut2.set_exception(exc)
-                    continue
-                with self._lock:
-                    self.inflight_dedup += 1
-                    self.completed += 1
-                obs.inc("serve.inflight_dedup")
-                self._observe_latency(solver.name, queued2)
-                fut2.set_result(
-                    ServeResult(
-                        artifact=lead.artifact,
-                        spec=lead.spec,
-                        instance_hash=content2,
-                        seed=effective2,
-                        cached=True,
-                        warm=True,
-                        solve_s=0.0,
-                        queued_s=queued2,
-                        deduped=True,
-                        degraded=lead.degraded,
-                        degraded_from=lead.degraded_from,
-                        degrade_reason=lead.degrade_reason,
-                        coalesced=lead.coalesced,
-                    )
-                )
-
-            # --- followers of an external in-flight leader ------------
-            for fut2, job2, leader2, content2, effective2, queued2 in \
-                    ext_waiters:
-                try:
-                    fut2.set_result(
-                        self._await_leader(
-                            leader2, job2, solver, canonical, content2,
-                            effective2, queued2,
-                        )
-                    )
-                except Exception as exc:
-                    with self._lock:
-                        self.errors += 1
-                    obs.inc("serve.errors")
-                    fut2.set_exception(exc)
-
-            # --- members whose gates tripped degrade as usual ---------
-            for fut2, job2, content2, effective2, queued2, reason2 in \
-                    degrades:
-                try:
-                    fut2.set_result(
-                        self._solve_degraded(
-                            job2, canonical, job2.instance, content2,
-                            effective2, queued2, reason2,
-                        )
-                    )
-                except Exception as exc:
-                    with self._lock:
-                        self.errors += 1
-                    obs.inc("serve.errors")
-                    fut2.set_exception(exc)
-
-            # --- uncoalescible drained items run solo, in order -------
-            for fut2, job2, enq2 in passthrough:
-                self._run_drained(fut2, job2, enq2)
         except BaseException as exc:
-            pending_exc = exc
-            raise
-        finally:
-            # One task_done per drained item (the leader's own item is
-            # accounted by the worker loop), in-flight cleanup for every
-            # group future, and a safety sweep so no follower future is
-            # ever left unresolved by an unexpected unwind.
+            if self._breaker is not None:
+                self._breaker.record_failure(lead.canonical)
+            obs.event(
+                "serve.coalesce_fallback",
+                level="warning",
+                spec=lead.canonical,
+                batch=len(group),
+                error=repr(exc),
+            )
+            died = False
+            for req in group:
+                died |= self._solve_group([req])
+            return died
+        solve_s = time.perf_counter() - start
+        with self._lock:
+            self.coalesced_batches += 1
+            self.coalesced_requests += len(group)
+        obs.inc("serve.coalesced_batches")
+        obs.inc("serve.coalesced_requests", len(group))
+        for req, (artifact, warm) in zip(group, solved):
+            req.fut.set_result(
+                self._finish(req, artifact, warm, solve_s, coalesced=True)
+            )
+            req.pending = False
+        return False
+
+    def _solve_one(self, req: _Request) -> ServeResult | None:
+        """A group of one; an exhausted deadline trips it to the ladder."""
+        start = time.perf_counter()
+        try:
+            [(artifact, warm)] = self._solve_once(
+                req.solver, req.canonical, [req], deadline=req.job.deadline,
+                inject=True, dtype=req.job.dtype,
+            )
+        except DeadlineExceeded:
+            if self._breaker is not None:
+                self._breaker.record_failure(req.canonical)
             with self._lock:
-                for fut2 in group_futs:
-                    k2 = getattr(fut2, "_engine_key", None)
-                    if k2 is not None and self._inflight.get(k2) is fut2:
-                        del self._inflight[k2]
-            for fut2 in group_futs:
-                if not fut2.done():
-                    with self._lock:
-                        self.errors += 1
-                    obs.inc("serve.errors")
-                    fut2.set_exception(
-                        pending_exc
-                        if pending_exc is not None
-                        else RuntimeError("coalesced solve aborted")
-                    )
-            for _ in drained:
-                self._queue.task_done()
-            obs.set_gauge("serve.queue_depth", self._queue.qsize())
+                self.deadline_expired += 1
+            obs.inc("serve.deadline_expired")
+            if not (req.job.degrade and self._ladder is not None):
+                raise
+            req.reason = "deadline"
+            return None
+        except (Exception, InjectedWorkerCrash):
+            if self._breaker is not None:
+                self._breaker.record_failure(req.canonical)
+            raise
+        return self._finish(req, artifact, warm, time.perf_counter() - start)
 
-        if leader_exc is not None:
-            raise leader_exc
-        leader_result = members[0]["result"]
-        assert leader_result is not None
-        return leader_result
-
-    def _solve_degraded(
-        self, job: _Job, canonical, instance, content, effective,
-        queued_s, reason: str,
+    def _finish(
+        self, req: _Request, artifact, warm, solve_s, *, coalesced=False
     ) -> ServeResult:
-        """Walk the ladder below ``canonical`` until a rung answers.
+        """Finish one solved member: breaker, result cache, latency, reply."""
+        if self._breaker is not None:
+            self._breaker.record_success(req.canonical)
+        with self._lock:
+            if req.cacheable:
+                self._results[req.key] = artifact
+                while len(self._results) > self._result_capacity:
+                    self._results.popitem(last=False)
+                    self.result_evictions += 1
+            self.completed += 1
+        self._observe_latency(req.solver.name, req.queued_s + solve_s)
+        return ServeResult(
+            artifact=artifact,
+            spec=req.canonical,
+            instance_hash=req.content,
+            seed=req.effective,
+            cached=False,
+            warm=warm,
+            solve_s=solve_s,
+            queued_s=req.queued_s,
+            coalesced=coalesced,
+        )
+
+    def _await_leader(self, req: _Request) -> ServeResult:
+        """Take an identical in-flight request's answer — waiting *bounded*.
+
+        The wait polls instead of blocking: between polls the follower
+        checks its cancel token and deadline, and a deadline-less
+        follower gives up after :data:`FOLLOWER_MAX_WAIT_S`, so a wedged
+        leader never pins follower worker threads along with its own.
+        A stuck or cancelled wait falls through to the degradation
+        ladder (typed :class:`DeadlineExceeded` when degradation is
+        off).  A leader's error is the follower's error.
+        """
+        with self._lock:
+            self.inflight_dedup += 1
+        obs.inc("serve.inflight_dedup")
+        deadline, token = req.job.deadline, req.job.token
+        budget = (
+            max(deadline.remaining(), 0.01)
+            if deadline is not None
+            else FOLLOWER_MAX_WAIT_S
+        )
+        limit = time.monotonic() + budget
+        while True:
+            try:
+                lead: ServeResult = req.leader.result(
+                    timeout=min(
+                        _FOLLOWER_POLL_S,
+                        max(limit - time.monotonic(), 0.001),
+                    )
+                )
+                break
+            except FutureTimeout:
+                if not token.cancelled and time.monotonic() < limit:
+                    continue
+                req.reason = "watchdog" if token.cancelled else "deadline"
+                if req.job.degrade and self._ladder is not None:
+                    return self._solve_degraded(req)
+                raise DeadlineExceeded(
+                    f"gave up waiting on an identical in-flight request "
+                    f"for {req.canonical} after {budget:.3f}s"
+                ) from None
+        with self._lock:
+            self.completed += 1
+        self._observe_latency(req.solver.name, req.queued_s)
+        return ServeResult(
+            artifact=lead.artifact,
+            spec=lead.spec,
+            instance_hash=req.content,
+            seed=req.effective,
+            cached=True,
+            warm=True,
+            solve_s=0.0,
+            queued_s=req.queued_s,
+            deduped=True,
+            degraded=lead.degraded,
+            degraded_from=lead.degraded_from,
+            degrade_reason=lead.degrade_reason,
+            coalesced=lead.coalesced,
+        )
+
+    def _solve_degraded(self, req: _Request) -> ServeResult:
+        """Walk the ladder below ``req.canonical`` until a rung answers.
 
         Degraded rungs run **without** deadline checks or fault injection
         — the whole point is to return a valid schedule rather than fail,
         and the fallback rungs are cheap by construction.
         """
+        canonical, reason = req.canonical, req.reason
         fallbacks = (
             self._ladder.fallbacks(canonical) if self._ladder is not None else ()
         )
@@ -1253,10 +956,7 @@ class ScheduleEngine:
             if self._breaker is not None and not self._breaker.allow(rcanon):
                 continue
             try:
-                artifact, warm = self._solve_once(
-                    rung, rcanon, instance, content, effective, job.config,
-                    deadline=None, token=job.token, inject=False,
-                )
+                [(artifact, warm)] = self._solve_once(rung, rcanon, [req])
             except Exception as exc:
                 if self._breaker is not None:
                     self._breaker.record_failure(rcanon)
@@ -1282,16 +982,16 @@ class ScheduleEngine:
                 to_spec=rcanon,
                 reason=reason,
             )
-            self._observe_latency(rung.name, queued_s + solve_s)
+            self._observe_latency(rung.name, req.queued_s + solve_s)
             return ServeResult(
                 artifact=artifact,
                 spec=rcanon,
-                instance_hash=content,
-                seed=effective,
+                instance_hash=req.content,
+                seed=req.effective,
                 cached=False,
                 warm=warm,
                 solve_s=solve_s,
-                queued_s=queued_s,
+                queued_s=req.queued_s,
                 degraded=True,
                 degraded_from=canonical,
                 degrade_reason=reason,
@@ -1311,35 +1011,37 @@ class ScheduleEngine:
             )
         if reason == "quarantine":
             raise RequestQuarantined(
-                f"request {content[:12]}×{canonical} is quarantined and no "
-                f"degradation rung was available"
+                f"request {req.content[:12]}×{canonical} is quarantined and "
+                f"no degradation rung was available"
             )
         raise BreakerOpen(f"circuit breaker open for {canonical}")
 
     def _solve_once(
-        self, solver, canonical, instance, content, effective, config,
-        deadline: Deadline | None, token: CancelToken, *, inject: bool,
-        dtype=None,
-    ) -> tuple[RunArtifact, bool]:
-        """One solve attempt: fault injection, prepare, solve.
+        self, solver, canonical, reqs: list[_Request], *,
+        deadline: Deadline | None = None, inject: bool = False, dtype=None,
+    ) -> list[tuple[RunArtifact, bool]]:
+        """One solve call for ``reqs``: fault injection, prepare, solve.
 
-        Identical to the PR 8 hot path when no deadline is set and the
-        injector is absent — same call order, same rng construction.
-        A float32 request routes through the batched kernel as a batch
-        of one (non-batchable solvers surface the registry's
-        SolverError).
+        A float64 group of one calls ``solve_prepared`` — with no
+        deadline and no injector this is exactly what a direct
+        ``solve_instance`` does: same call order, same rng construction
+        (the daemon-vs-direct digest pins).  Anything else calls
+        ``solve_prepared_batch``, bit-identical at float64; a float32
+        request for a solver without a batched kernel surfaces the
+        registry's SolverError.  Returns ``(artifact, warm)`` per
+        request.
         """
         if deadline is not None:
             deadline.check(canonical)
         if inject and self._injector is not None:
-            fault = self._injector.decide(canonical, content)
+            fault = self._injector.decide(canonical, reqs[0].content)
             if fault.kind == "crash":
                 raise InjectedWorkerCrash(
-                    f"injected crash for {canonical} on {content[:12]}"
+                    f"injected crash for {canonical} on {reqs[0].content[:12]}"
                 )
             if fault.kind in ("slow", "stall"):
                 finished = cooperative_sleep(
-                    fault.seconds, token=token, deadline=deadline
+                    fault.seconds, token=reqs[0].job.token, deadline=deadline
                 )
                 if fault.kind == "stall" and not finished:
                     # The stall ate the budget down to the degradation
@@ -1350,20 +1052,27 @@ class ScheduleEngine:
                     )
             if deadline is not None:
                 deadline.check(canonical)
-        prepared, warm = self._prepared_cache.get_or_prepare(instance)
+        prepared = [
+            self._prepared_cache.get_or_prepare(req.job.instance)
+            for req in reqs
+        ]
         if deadline is not None:
             deadline.check(canonical)
-        rng = np.random.default_rng(effective)
-        cfg = config if config is not None else instance.config
-        if dtype is not None:
-            artifact = solver.solve_prepared_batch(
-                [prepared], [rng], [cfg], dtype=dtype
-            )[0]
+        rngs = [np.random.default_rng(req.effective) for req in reqs]
+        configs = [
+            req.job.config if req.job.config is not None
+            else req.job.instance.config
+            for req in reqs
+        ]
+        if dtype is None and len(reqs) == 1:
+            artifacts = [solver.solve_prepared(prepared[0][0], rngs[0], configs[0])]
         else:
-            artifact = solver.solve_prepared(prepared, rng, cfg)
+            artifacts = solver.solve_prepared_batch(
+                [p for p, _warm in prepared], rngs, configs, dtype=dtype
+            )
         with self._lock:
-            self.solves += 1
-        return artifact, warm
+            self.solves += len(reqs)
+        return [(a, warm) for a, (_p, warm) in zip(artifacts, prepared)]
 
     def _observe_latency(self, window: str, seconds: float) -> None:
         with self._lock:

@@ -11,6 +11,7 @@ and retry loop behave.  The long mixed-fault soak lives in
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -506,6 +507,35 @@ class TestWorkerSupervision:
         finally:
             engine.close()
 
+    def test_crashed_worker_is_replaced_exactly_once(self, monkeypatch):
+        """The dying worker and the supervisor both replace dead workers;
+        a replacement that is in the pool but not yet started must not
+        look dead to the supervisor, or a second, untracked worker starts
+        that ``close()`` never stops."""
+        import repro.serve.engine as engine_module
+
+        class SlowStart(threading.Thread):
+            def start(self):
+                time.sleep(0.1)  # ten supervisor ticks
+                super().start()
+
+        monkeypatch.setattr(engine_module.threading, "Thread", SlowStart)
+        model = ProcessFaultModel(crash=1.0, seed=0)
+        engine = _engine(fault_model=model, supervision_interval_s=0.01)
+        try:
+            result = engine.solve(
+                "haste-offline", Instance.sample(QUICK, 933), seed=0,
+                timeout=30,
+            )
+            assert result.degraded and result.degrade_reason == "crash"
+            time.sleep(0.3)
+            stats = engine.stats()
+            assert stats["worker_crashes"] == 1
+            assert stats["worker_restarts"] == 1
+            assert stats["workers_alive"] == stats["workers"] == 1
+        finally:
+            engine.close()
+
     def test_crash_without_degradation_raises_worker_crashed(self):
         model = ProcessFaultModel(crash=1.0, seed=0)
         engine = _engine(fault_model=model, degradation=False)
@@ -544,6 +574,34 @@ class TestSingleFlightDedup:
             assert stats["inflight_dedup"] == 1
         finally:
             engine.close()
+
+    def test_identical_requests_execute_once_per_key_under_contention(self):
+        """More workers than cores and a tiny switch interval: every
+        idempotency key executes exactly once, whether a copy is grouped,
+        follows its leader or hits the result cache, and no follower
+        waits out its bound because two workers wait on each other."""
+        instances = [Instance.sample(QUICK, 990 + j) for j in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ScheduleEngine(workers=4, queue_limit=64) as engine:
+                futs = [
+                    (j, engine.submit("greedy-cover", instances[j], seed=1))
+                    for _ in range(8)
+                    for j in range(3)
+                ]
+                results = [(j, f.result(timeout=60)) for j, f in futs]
+                stats = engine.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        for j in range(3):
+            assert len({
+                r.artifact.content_hash() for k, r in results if k == j
+            }) == 1
+        assert stats["solves"] == 3
+        assert stats["degraded"] == 0
+        assert stats["errors"] == 0
+        assert stats["completed"] == len(futs)
 
 
 class TestStuckLeader:

@@ -12,15 +12,21 @@ import http.client
 import json
 import socket
 import threading
+import time
+from concurrent.futures import Future
 
 import pytest
 
 from repro.serve import (
+    CircuitBreaker,
+    DeadlineExceeded,
     EngineBusy,
     EngineClosed,
     ProtocolError,
+    RequestQuarantined,
     ScheduleEngine,
     ServeClient,
+    ServeResult,
     parse_solve_request,
     start_in_thread,
 )
@@ -510,3 +516,232 @@ class TestCoalescing:
         with ScheduleEngine(workers=1, degradation=False) as engine:
             with pytest.raises(Exception, match="float32"):
                 engine.solve("static", inst, seed=1, dtype=np.float32)
+
+    # -- requests a group's drain admits through the gates ----------------
+    def _group_with(self, make_drained, *, prepare=None, settle_s=0.0):
+        """Queue a fresh ``greedy-utility`` leader and one request behind
+        it, so the leader's drain admits that request.
+
+        Returns the leader's result, the drained request's future and the
+        engine's final stats, after checking that the queue's accounting
+        returned to zero.
+        """
+        gate = threading.Event()
+        engine = ScheduleEngine(workers=1, queue_limit=32, coalesce_max=4)
+        drained = []
+        try:
+            if prepare is not None:
+                prepare(engine)
+
+            def submit():
+                lead = engine.submit(
+                    "greedy-utility", Instance.sample(QUICK, 960), seed=4
+                )
+                drained.append(make_drained(engine, lead))
+                time.sleep(settle_s)
+                return [lead]
+
+            _stall, [lead] = self._pile_up(
+                engine, gate, Instance.sample(QUICK, 895), submit
+            )
+            assert engine.drain(timeout_s=30)
+            assert engine._queue.unfinished_tasks == 0
+        finally:
+            gate.set()
+            engine.close()
+        assert drained[0].done()
+        return lead, drained[0], engine.stats()
+
+    def test_drained_result_cache_hit_answers_at_once(self):
+        inst = Instance.sample(QUICK, 961)
+        first = []
+        lead, fut, stats = self._group_with(
+            lambda engine, _lead: engine.submit(
+                "greedy-utility", inst, seed=4
+            ),
+            prepare=lambda engine: first.append(
+                engine.solve("greedy-utility", inst, seed=4)
+            ),
+        )
+        hit = fut.result()
+        assert hit.cached and not hit.coalesced and not hit.deduped
+        assert hit.artifact.content_hash() == \
+            first[0].artifact.content_hash()
+        assert not lead.coalesced  # the hit never joined the group
+        assert stats["result_cache"]["hits"] == 1
+        assert stats["coalesced_batches"] == 0
+        assert stats["errors"] == 0
+
+    @pytest.mark.parametrize("degrade", [True, False])
+    def test_drained_quarantined_request(self, degrade):
+        inst = Instance.sample(QUICK, 962)
+
+        def quarantine(engine):
+            engine._quarantine[(inst.content_hash(), "haste-offline", 4)] = 1
+
+        lead, fut, stats = self._group_with(
+            lambda engine, _lead: engine.submit(
+                "haste-offline", inst, seed=4, degrade=degrade
+            ),
+            prepare=quarantine,
+        )
+        assert not lead.degraded and not lead.coalesced
+        if degrade:
+            res = fut.result()
+            assert res.degraded and res.degrade_reason == "quarantine"
+            assert res.spec == "greedy-utility"
+            assert stats["errors"] == 0
+        else:
+            assert isinstance(fut.exception(), RequestQuarantined)
+            assert stats["errors"] == 1
+
+    @pytest.mark.parametrize("degrade", [True, False])
+    def test_drained_expired_deadline(self, degrade):
+        inst = Instance.sample(QUICK, 963)
+        lead, fut, stats = self._group_with(
+            lambda engine, _lead: engine.submit(
+                "haste-offline", inst, seed=4, deadline_s=0.05,
+                degrade=degrade,
+            ),
+            settle_s=0.2,  # the budget runs out while the request queues
+        )
+        assert not lead.degraded
+        assert stats["deadline_expired"] == 1
+        if degrade:
+            res = fut.result()
+            assert res.degraded and res.degrade_reason == "deadline"
+            assert stats["errors"] == 0
+        else:
+            assert isinstance(fut.exception(), DeadlineExceeded)
+            assert stats["errors"] == 1
+
+    def test_drained_cancelled_future_is_skipped(self):
+        def cancelled(engine, _lead):
+            fut = engine.submit(
+                "greedy-utility", Instance.sample(QUICK, 964), seed=4
+            )
+            assert fut.cancel()
+            return fut
+
+        lead, fut, stats = self._group_with(cancelled)
+        assert fut.cancelled()
+        assert not lead.coalesced
+        assert stats["solves"] == 2  # the stall and the leader
+        assert stats["errors"] == 0
+
+    def test_drained_follower_of_outside_leader(self):
+        """A drained request identical to one in flight outside the group
+        takes that request's answer, as it would when dequeued first."""
+        inst = Instance.sample(QUICK, 965)
+        direct = solve_instance("greedy-utility", inst, seed=4)
+        key = (inst.content_hash(), "greedy-utility", 4)
+        outside: Future = Future()
+
+        def follower(engine, lead):
+            # The outside request finishes once the group has solved.
+            lead.add_done_callback(
+                lambda _f: outside.set_result(
+                    ServeResult(
+                        artifact=direct, spec="greedy-utility",
+                        instance_hash=key[0], seed=4, cached=False,
+                        warm=False, solve_s=0.0, queued_s=0.0,
+                    )
+                )
+            )
+            return engine.submit("greedy-utility", inst, seed=4)
+
+        lead, fut, stats = self._group_with(
+            follower,
+            prepare=lambda engine: engine._inflight.__setitem__(key, outside),
+        )
+        res = fut.result()
+        assert res.deduped and res.cached and not lead.coalesced
+        assert res.artifact.content_hash() == direct.content_hash()
+        assert stats["inflight_dedup"] == 1
+        assert stats["solves"] == 2  # the stall and the leader
+        assert stats["errors"] == 0
+
+    def test_failed_group_retries_each_member_alone(self, monkeypatch):
+        from repro.solvers.registry import BoundSolver
+
+        batch = BoundSolver.solve_prepared_batch
+
+        def fails_when_grouped(self, prepareds, *args, **kwargs):
+            if len(prepareds) > 1:
+                raise RuntimeError("batched kernel failed")
+            return batch(self, prepareds, *args, **kwargs)
+
+        monkeypatch.setattr(
+            BoundSolver, "solve_prepared_batch", fails_when_grouped
+        )
+
+        class CountingBreaker(CircuitBreaker):
+            charged = 0
+
+            def record_failure(self, key):
+                type(self).charged += 1
+                super().record_failure(key)
+
+        instances = [Instance.sample(QUICK, 970 + j) for j in range(3)]
+        direct = [
+            solve_instance("greedy-utility", inst, seed=5).content_hash()
+            for inst in instances
+        ]
+        gate = threading.Event()
+        engine = ScheduleEngine(
+            workers=1, queue_limit=32, coalesce_max=4,
+            breaker=CountingBreaker(),
+        )
+        try:
+            _stall, results = self._pile_up(
+                engine, gate, Instance.sample(QUICK, 896),
+                lambda: [
+                    engine.submit("greedy-utility", inst, seed=5)
+                    for inst in instances
+                ],
+            )
+        finally:
+            gate.set()
+            engine.close()
+        assert [r.artifact.content_hash() for r in results] == direct
+        assert all(not r.coalesced and not r.degraded for r in results)
+        assert CountingBreaker.charged == 1
+        stats = engine.stats()
+        assert stats["coalesced_batches"] == 0
+        assert stats["solves"] == 4  # the stall and three members alone
+        assert stats["errors"] == 0
+
+    def test_close_during_drain_lets_every_worker_exit(self):
+        """A drain that takes one ``_SHUTDOWN`` sentinel must leave the
+        other for the other worker, so ``close()`` strands no thread."""
+        gates = [threading.Event(), threading.Event()]
+        engine = ScheduleEngine(workers=2, queue_limit=32, coalesce_max=4)
+        try:
+            for j, gate in enumerate(gates):  # pin both workers
+                engine.submit(
+                    "static",
+                    _BlockingInstance(Instance.sample(QUICK, 980 + j), gate),
+                    seed=1,
+                )
+            for _ in range(200):
+                if engine._queue.qsize() == 0:
+                    break
+                time.sleep(0.01)
+            utility = engine.submit(
+                "greedy-utility", Instance.sample(QUICK, 982), seed=1
+            )
+            cover = engine.submit(
+                "greedy-cover", Instance.sample(QUICK, 983), seed=1
+            )
+            engine.close(wait=False)
+            gates[0].set()
+            assert utility.result(timeout=60).artifact is not None
+            assert cover.result(timeout=60).artifact is not None
+            gates[1].set()
+            for t in engine._workers:
+                t.join(timeout=5)
+            assert not any(t.is_alive() for t in engine._workers)
+        finally:
+            for gate in gates:
+                gate.set()
+            engine.close()
