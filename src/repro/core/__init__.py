@@ -6,7 +6,7 @@ utility functions, dominant-task-set extraction, and the precomputed
 """
 
 from .charger import Charger
-from .coverage import DominantSet, dominant_sets_from_arcs, dominant_sets_naive
+from .coverage import DominantSet, dominant_sets_from_arcs
 from .geometry import Arc, wrap_angle
 from .network import IDLE_POLICY, ChargerNetwork
 from .policy import Schedule
@@ -36,6 +36,5 @@ __all__ = [
     "SlotGrid",
     "UtilityFunction",
     "dominant_sets_from_arcs",
-    "dominant_sets_naive",
     "wrap_angle",
 ]

@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .charger import Charger
-from .coverage import DominantSet, dominant_sets_from_arcs
+from .coverage import DominantSet, dominant_set_rows
 from .geometry import pairwise_azimuths, pairwise_distances
 from .power import PowerModel, receivable_matrix
 from .task import ChargingTask
@@ -146,50 +146,55 @@ class ChargerNetwork:
         live in one contiguous flat array (``policy_power_flat`` with
         per-charger ``policy_offsets``) so a whole-fleet kernel can stream
         them without pointer chasing.
+
+        Every array is laid out for the whole fleet at once — the policy
+        rows of all chargers stacked, idle rows included — and each
+        charger's entries are views into those stacks.
         """
-        self.dominant_sets: list[list[DominantSet]] = []
+        n, m = self.n, self.m
+        owner, orientation, cover = dominant_set_rows(
+            self.azimuth,
+            self.receivable,
+            np.array([c.charging_angle for c in self.chargers], dtype=float),
+        )
+        counts = np.bincount(owner, minlength=n) + 1  # P_i, idle included
+        rows = np.concatenate([[0], np.cumsum(counts)])
+        # Dominant set r of charger owner[r] goes after that charger's idle
+        # row: r sets and owner[r] + 1 idle rows precede it.
+        place = np.arange(owner.size) + owner + 1
+        policy_cover = np.zeros((int(rows[-1]), m), dtype=bool)
+        policy_cover[place] = cover
+        policy_orient = np.full(int(rows[-1]), np.nan)
+        policy_orient[place] = orientation
+        policy_owner = np.repeat(np.arange(n), counts)
+        policy_power = policy_cover * self.power[policy_owner]
+        # Each policy row restricted to its charger's receivable columns,
+        # row-major: exactly the per-charger (P_i, |T_i|) blocks, back to back.
+        lanes = self.receivable[policy_owner]
+        sparse_cover = policy_cover[lanes]
+        self.policy_power_flat = policy_power[lanes]
+        receivable_counts = self.receivable.sum(axis=1)
+        self.policy_offsets = np.concatenate(
+            [[0], np.cumsum(counts * receivable_counts)]
+        )
+
         self.cover_masks: list[np.ndarray] = []  # (P_i, m) bool, row 0 = idle
         self.policy_power: list[np.ndarray] = []  # (P_i, m) float, W
         self.policy_orientations: list[np.ndarray] = []  # (P_i,), nan = idle
         self.policy_tasks: list[np.ndarray] = []  # (|T_i|,) int — receivable columns
         self.sparse_cover: list[np.ndarray] = []  # (P_i, |T_i|) bool
-        for i in range(self.n):
-            receivable_idx = np.flatnonzero(self.receivable[i])
-            sets = dominant_sets_from_arcs(
-                receivable_idx,
-                self.azimuth[i, receivable_idx],
-                self.chargers[i].charging_angle,
-            )
-            self.dominant_sets.append(sets)
-            p = len(sets) + 1
-            cover = np.zeros((p, self.m), dtype=bool)
-            orient = np.full(p, np.nan)
-            for row, ds in enumerate(sets, start=1):
-                cover[row, list(ds.tasks)] = True
-                orient[row] = ds.orientation
-            self.cover_masks.append(cover)
-            self.policy_power.append(cover * self.power[i][None, :])
-            self.policy_orientations.append(orient)
-            self.policy_tasks.append(receivable_idx)
-            self.sparse_cover.append(cover[:, receivable_idx])
-        # Contiguous stacked power blocks: charger i's (P_i, |T_i|) block is
-        # policy_power_flat[policy_offsets[i]:policy_offsets[i+1]] reshaped.
-        sizes = [
-            self.sparse_cover[i].shape[0] * self.policy_tasks[i].size
-            for i in range(self.n)
-        ]
-        self.policy_offsets = np.concatenate(
-            [[0], np.cumsum(np.array(sizes, dtype=np.int64))]
-        )
-        self.policy_power_flat = np.empty(int(self.policy_offsets[-1]), dtype=float)
         self.sparse_power: list[np.ndarray] = []  # (P_i, |T_i|) views into the flat array
-        for i in range(self.n):
-            cols = self.policy_tasks[i]
-            block = self.policy_power_flat[
-                int(self.policy_offsets[i]) : int(self.policy_offsets[i + 1])
-            ].reshape(self.sparse_cover[i].shape)
-            block[:] = self.sparse_cover[i] * self.power[i][cols][None, :]
-            self.sparse_power.append(block)
+        for i in range(n):
+            a, b = rows[i], rows[i + 1]
+            lo, hi = self.policy_offsets[i], self.policy_offsets[i + 1]
+            shape = (int(counts[i]), int(receivable_counts[i]))
+            self.cover_masks.append(policy_cover[a:b])
+            self.policy_power.append(policy_power[a:b])
+            self.policy_orientations.append(policy_orient[a:b])
+            self.policy_tasks.append(np.flatnonzero(self.receivable[i]))
+            self.sparse_cover.append(sparse_cover[lo:hi].reshape(shape))
+            self.sparse_power.append(self.policy_power_flat[lo:hi].reshape(shape))
+        self._dominant_sets: list[list[DominantSet]] | None = None
         self._sparse_energy_cache: list[np.ndarray] | None = None
         self._dense_energy_cache: list[np.ndarray] | None = None
         self._active_sub_cache: list[np.ndarray] | None = None
@@ -242,6 +247,24 @@ class ChargerNetwork:
         """Orientation assigned by ``policy`` (``None`` for idle)."""
         val = self.policy_orientations[charger][policy]
         return None if np.isnan(val) else float(val)
+
+    @property
+    def dominant_sets(self) -> list[list[DominantSet]]:
+        """Each charger's dominant task sets (Algorithm 1), in policy order.
+
+        ``dominant_sets[i][p - 1]`` is policy ``p`` of charger ``i``: the
+        tasks of ``cover_masks[i][p]`` at ``policy_orientations[i][p]``.
+        Built on first use; no scheduling kernel reads it.
+        """
+        if self._dominant_sets is None:
+            self._dominant_sets = [
+                [
+                    DominantSet(frozenset(np.flatnonzero(row).tolist()), float(o))
+                    for row, o in zip(cover[1:], orient[1:])
+                ]
+                for cover, orient in zip(self.cover_masks, self.policy_orientations)
+            ]
+        return self._dominant_sets
 
     # ------------------------------------------------------------------
     # Shared scheduling kernels (cached — networks are immutable)

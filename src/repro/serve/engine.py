@@ -1053,7 +1053,7 @@ class ScheduleEngine:
             if deadline is not None:
                 deadline.check(canonical)
         prepared = [
-            self._prepared_cache.get_or_prepare(req.job.instance)
+            self._prepared_cache.get_or_prepare(req.job.instance, key=req.content)
             for req in reqs
         ]
         if deadline is not None:

@@ -26,7 +26,13 @@ import numpy as np
 
 from .instance import Instance
 
-__all__ = ["InstanceBatch", "pack_padded", "unpack_padded", "pad_mask"]
+__all__ = [
+    "InstanceBatch",
+    "multiset_digest",
+    "pack_padded",
+    "unpack_padded",
+    "pad_mask",
+]
 
 
 def pack_padded(
@@ -118,8 +124,13 @@ class InstanceBatch:
         Any permutation of the same instances digests identically; any
         change to a member's payload changes the digest.
         """
-        h = hashlib.sha256()
-        for ch in sorted(self.content_hashes()):
-            h.update(ch.encode("ascii"))
-            h.update(b"\x00")
-        return h.hexdigest()
+        return multiset_digest(self.content_hashes())
+
+
+def multiset_digest(content_hashes: Iterable[str]) -> str:
+    """:meth:`InstanceBatch.digest` from the members' content hashes."""
+    h = hashlib.sha256()
+    for ch in sorted(content_hashes):
+        h.update(ch.encode("ascii"))
+        h.update(b"\x00")
+    return h.hexdigest()

@@ -266,14 +266,19 @@ class PreparedCache:
         self.evictions = 0
         self.builds = 0
 
-    def get_or_prepare(self, instance) -> tuple[PreparedNetwork, bool]:
+    def get_or_prepare(
+        self, instance, *, key: str | None = None
+    ) -> tuple[PreparedNetwork, bool]:
         """The cached prepare for ``instance`` — ``(prepared, was_hit)``.
 
-        Concurrent misses on one ``content_hash`` collapse to a single
+        ``key`` is the instance's ``content_hash`` when the caller already
+        holds it (hashing serializes the whole instance); by default it is
+        computed here.  Concurrent misses on one key collapse to a single
         build: the first thread claims the key and constructs the entry,
         the rest wait on its event and return the same object.
         """
-        key = instance.content_hash()
+        if key is None:
+            key = instance.content_hash()
         while True:
             with self._lock:
                 entry = self._entries.get(key)
@@ -383,18 +388,23 @@ def _env_capacity(default: int = 8, environ=os.environ) -> int:
 PREPARED_CACHE = PreparedCache(capacity=_env_capacity())
 
 
-def prepare(instance, *, cached: bool = True) -> PreparedNetwork:
+def prepare(
+    instance, *, cached: bool = True, key: str | None = None
+) -> PreparedNetwork:
     """``prepare(instance) -> PreparedNetwork`` — the two-phase entry point.
 
     ``cached=True`` (the default) consults the process-global
     :data:`PREPARED_CACHE` keyed by ``content_hash``; ``cached=False``
     returns a private prepared object (cold path, used by the equivalence
-    benchmarks).
+    benchmarks).  A caller that already holds the instance's
+    ``content_hash`` passes it as ``key`` so it is not computed again.
     """
+    if key is None:
+        key = instance.content_hash()
     if cached:
-        prepared, _hit = PREPARED_CACHE.get_or_prepare(instance)
+        prepared, _hit = PREPARED_CACHE.get_or_prepare(instance, key=key)
         return prepared
-    return PreparedNetwork(instance=instance, key=instance.content_hash())
+    return PreparedNetwork(instance=instance, key=key)
 
 
 def prepare_network(network) -> PreparedNetwork:

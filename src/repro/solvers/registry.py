@@ -340,7 +340,7 @@ class BoundSolver:
         member's position, and the order-independent
         :meth:`~repro.solvers.batch.InstanceBatch.digest`.
         """
-        from .batch import InstanceBatch
+        from .batch import multiset_digest
 
         instances = list(instances)
         B = len(instances)
@@ -352,17 +352,18 @@ class BoundSolver:
             seed if seed is not None else inst.seed
             for seed, inst in zip(seeds, instances)
         ]
-        # Memoize prepares locally by content hash: a batch may repeat an
-        # instance (coalesced duplicates) or exceed the global prepared
-        # cache's capacity, and either way each distinct payload should be
-        # built exactly once for this call.
+        # Each member is hashed once; the prepare and the batch digest
+        # reuse that hash.  Prepares are memoized locally by it: a batch
+        # may repeat an instance (coalesced duplicates) or exceed the
+        # global prepared cache's capacity, and either way each distinct
+        # payload should be built exactly once for this call.
+        hashes = [inst.content_hash() for inst in instances]
         memo: dict[str, PreparedNetwork] = {}
         prepareds = []
-        for inst in instances:
-            h = inst.content_hash()
+        for inst, h in zip(instances, hashes):
             prepared = memo.get(h)
             if prepared is None:
-                prepared = prepare(inst)
+                prepared = prepare(inst, key=h)
                 memo[h] = prepared
             prepareds.append(prepared)
         rngs = [np.random.default_rng(e) for e in effective]
@@ -370,7 +371,7 @@ class BoundSolver:
         artifacts = self.solve_prepared_batch(
             prepareds, rngs, configs, dtype=dtype
         )
-        digest = InstanceBatch.from_instances(instances).digest()
+        digest = multiset_digest(hashes)
         for j, artifact in enumerate(artifacts):
             meta = dict(artifact.meta or {})
             meta["batch"] = {"size": B, "index": j, "digest": digest}

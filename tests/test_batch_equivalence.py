@@ -25,6 +25,7 @@ import pytest
 from repro.sim.config import SimulationConfig
 from repro.solvers import (
     Instance,
+    InstanceBatch,
     SolverError,
     get_solver,
     solve_batch,
@@ -105,6 +106,22 @@ class TestBatchLoopEquivalence:
         # cannot break bit-identity with the un-batched artifact.
         direct = solve_instance("greedy-utility", instances[0])
         assert arts[0].content_hash() == direct.content_hash()
+
+    def test_each_member_hashed_once(self, monkeypatch):
+        instances = [Instance.sample(QUICK, 330 + s) for s in SEEDS]
+        instances.append(instances[0])  # a repeat is hashed, not re-prepared
+        want = InstanceBatch.from_instances(instances).digest()
+        hashed = []
+        content_hash = Instance.content_hash
+
+        def counting(inst):
+            hashed.append(inst)
+            return content_hash(inst)
+
+        monkeypatch.setattr(Instance, "content_hash", counting)
+        arts = solve_batch("greedy-utility", instances)
+        assert len(hashed) == len(instances)
+        assert [a.meta["batch"]["digest"] for a in arts] == [want] * len(instances)
 
     @pytest.mark.parametrize("spec", BATCHED)
     def test_duplicate_instances_in_one_batch(self, spec):

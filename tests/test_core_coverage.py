@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.coverage import (
-    DominantSet,
-    coverage_arcs,
-    dominant_sets_from_arcs,
-    dominant_sets_naive,
-)
+from oracles.coverage import dominant_sets_naive
+from repro.core.coverage import DominantSet, coverage_arcs, dominant_sets_from_arcs
 from repro.core.geometry import TWO_PI, Arc
 
 

@@ -6,7 +6,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.coverage import dominant_sets_from_arcs, dominant_sets_naive
+from oracles.coverage import dominant_sets_naive
+from repro.core.coverage import dominant_sets_from_arcs
 from repro.core.geometry import (
     TWO_PI,
     Arc,

@@ -285,6 +285,22 @@ class TestEngine:
             assert stats["result_cache"]["hits"] == 1
             assert stats["result_cache"]["misses"] == 3
 
+    def test_each_request_hashed_once(self, monkeypatch):
+        instances = [Instance.sample(QUICK, 60 + j) for j in range(3)]
+        hashed = []
+        content_hash = Instance.content_hash
+
+        def counting(inst):
+            hashed.append(inst)
+            return content_hash(inst)
+
+        monkeypatch.setattr(Instance, "content_hash", counting)
+        with ScheduleEngine(workers=1, coalesce_max=4) as engine:
+            futs = [engine.submit("greedy-utility", inst, seed=1) for inst in instances]
+            results = [f.result(timeout=60) for f in futs]
+        assert all(not r.cached for r in results)
+        assert len(hashed) == len(instances)
+
     def test_seedless_solves_never_cached(self):
         inst = Instance.from_network(Instance.sample(QUICK, 19).network(), config=QUICK)
         assert inst.seed is None
