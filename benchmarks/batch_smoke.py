@@ -6,15 +6,16 @@ Runs under whichever kernel mode the environment selects
 1. **loop equivalence** — a pinned ragged batch (quick- and small-scale
    instances, three seeds each) solved through
    :func:`repro.solvers.solve_batch` must return artifacts bit-identical
-   (``content_hash``) to a sequential :func:`solve_instance` loop, for
-   every solver with a batched kernel *and* for a fallback solver
-   without one (the sequential-loop fallback must also be exact);
+   (``content_hash``) to a :func:`solve_instance` loop, for every solver
+   with a batched kernel (whose solo solve is a batch of one) *and* for a
+   fallback solver without one (the sequential-loop fallback must also
+   be exact);
 2. **online replay** — ``online-haste`` (whose synchronous negotiation
    runs one ``negotiate_slot`` call of the C kernel per slot in compiled
    mode) must replay to the same artifact on the same instance;
-3. **batched beats sequential** — the best-of-N batched pass over warm
-   prepared state must beat the best-of-N sequential loop on sustained
-   instances/sec.
+3. **batched beats solo** — the best-of-N batched pass over warm
+   prepared state must beat the best-of-N loop of solo solves (batches
+   of one) on sustained instances/sec.
 
 Usage::
 
@@ -74,7 +75,7 @@ def check_online_replay() -> None:
           f"({len(instances)} instances)")
 
 
-def check_batched_beats_sequential() -> None:
+def check_batched_beats_solo() -> None:
     import numpy as np
 
     from repro.sim.config import SimulationConfig
@@ -91,7 +92,7 @@ def check_batched_beats_sequential() -> None:
     configs = [inst.config for inst in instances]
     seeds = [inst.seed for inst in instances]
 
-    def seq():
+    def solo():
         return [
             solver.solve_prepared(p, np.random.default_rng(s), c)
             for p, c, s in zip(prepareds, configs, seeds)
@@ -101,23 +102,23 @@ def check_batched_beats_sequential() -> None:
         rngs = [np.random.default_rng(s) for s in seeds]
         return solver.solve_prepared_batch(prepareds, rngs, configs)
 
-    seq()  # warm both paths before timing
+    solo()  # warm both paths before timing
     bat()
-    seq_best = batch_best = float("inf")
+    solo_best = batch_best = float("inf")
     for _ in range(5):
         t0 = time.perf_counter()
-        seq()
-        seq_best = min(seq_best, time.perf_counter() - t0)
+        solo()
+        solo_best = min(solo_best, time.perf_counter() - t0)
         t0 = time.perf_counter()
         bat()
         batch_best = min(batch_best, time.perf_counter() - t0)
-    speedup = seq_best / batch_best
-    print(f"  throughput: {len(instances) / seq_best:.1f} → "
+    speedup = solo_best / batch_best
+    print(f"  throughput: {len(instances) / solo_best:.1f} → "
           f"{len(instances) / batch_best:.1f} inst/s ({speedup:.2f}x)")
-    if batch_best >= seq_best:
+    if batch_best >= solo_best:
         raise AssertionError(
             f"batched pass ({batch_best:.4f}s) did not beat the "
-            f"sequential loop ({seq_best:.4f}s)"
+            f"loop of solo solves ({solo_best:.4f}s)"
         )
 
 
@@ -131,8 +132,8 @@ def main() -> int:
     check_loop_equivalence()
     print("[2/3] online negotiation replay (online-haste)")
     check_online_replay()
-    print("[3/3] batched beats sequential throughput")
-    check_batched_beats_sequential()
+    print("[3/3] batched beats solo-solve throughput")
+    check_batched_beats_solo()
     print("batch smoke: PASS")
     return 0
 

@@ -16,13 +16,15 @@ import numpy as np
 from repro import (
     SimulationConfig,
     execute_schedule,
-    greedy_cover_schedule,
-    greedy_utility_schedule,
     run_online_baseline,
     run_online_haste,
     sample_network,
     schedule_offline,
     smooth_switches,
+)
+from repro.offline.batched import (
+    greedy_cover_schedule_batch,
+    greedy_utility_schedule_batch,
 )
 
 
@@ -41,8 +43,11 @@ def main() -> None:
     schedule = smooth_switches(network, result.schedule, rho=config.rho)
     haste = execute_schedule(network, schedule, rho=config.rho)
 
-    gu = execute_schedule(network, greedy_utility_schedule(network), rho=config.rho)
-    gc = execute_schedule(network, greedy_cover_schedule(network), rho=config.rho)
+    # The baseline drivers plan a list of networks at once; one is fine.
+    (gu_plan,) = greedy_utility_schedule_batch([network])
+    (gc_plan,) = greedy_cover_schedule_batch([network])
+    gu = execute_schedule(network, gu_plan, rho=config.rho)
+    gc = execute_schedule(network, gc_plan, rho=config.rho)
 
     print("centralized offline setting (switching delay ρ = 1/12):")
     print(f"  HASTE (C=4)    : {haste.total_utility:.4f}  "

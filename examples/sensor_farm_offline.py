@@ -25,11 +25,11 @@ from repro import (
     ChargingTask,
     PowerModel,
     execute_schedule,
-    greedy_utility_schedule,
     schedule_offline,
     smooth_switches,
     static_orientation_schedule,
 )
+from repro.offline.batched import greedy_utility_schedule_batch
 from repro.sim.engine import orientation_trace
 
 RHO = 1.0 / 12.0  # ~5 s switching on 1-minute slots
@@ -83,7 +83,7 @@ def main() -> None:
     plans = {}
     result = schedule_offline(farm, num_colors=4, rng=np.random.default_rng(3))
     plans["HASTE (C=4)"] = smooth_switches(farm, result.schedule, rho=RHO)
-    plans["GreedyUtility"] = greedy_utility_schedule(farm)
+    (plans["GreedyUtility"],) = greedy_utility_schedule_batch([farm])
     plans["Best static aim"] = static_orientation_schedule(farm)
 
     print("overnight plan quality (overall charging utility, ρ = 1/12):")

@@ -44,8 +44,6 @@ from .offline import (
     OfflineResult,
     OptimalResult,
     brute_force_optimal,
-    greedy_cover_schedule,
-    greedy_utility_schedule,
     optimal_schedule,
     random_schedule,
     schedule_offline,
@@ -96,8 +94,6 @@ __all__ = [
     "UtilityFunction",
     "brute_force_optimal",
     "execute_schedule",
-    "greedy_cover_schedule",
-    "greedy_utility_schedule",
     "negotiate_window",
     "obs",
     "optimal_schedule",

@@ -78,6 +78,10 @@ class HasteObjective:
         Boolean ``(m,)`` knowledge mask; masked-out tasks contribute no
         activity and no utility (the online runtime plans against only the
         already-released tasks this way).
+    active:
+        Boolean ``(m, K)`` activity to plan on instead of the network's
+        (the online baselines plan on τ-delayed activity this way); the
+        utility weights are unchanged.
     """
 
     def __init__(
@@ -86,6 +90,7 @@ class HasteObjective:
         utility: UtilityFunction | None = None,
         *,
         task_mask: np.ndarray | None = None,
+        active: np.ndarray | None = None,
     ) -> None:
         self.network = network
         self.utility = utility if utility is not None else network.utility
@@ -93,6 +98,13 @@ class HasteObjective:
             raise ValueError("network has no tasks / utility function")
         self.weights = network.weights
         self.active = network.active  # (m, K) bool
+        if active is not None:
+            self.active = np.asarray(active, dtype=bool)
+            if self.active.shape != network.active.shape:
+                raise ValueError(
+                    f"active must have shape {network.active.shape}, "
+                    f"got {self.active.shape}"
+                )
         # Per charger: receivable task columns, the (P_i, |T_i|) energy
         # each policy adds per slot (shared, cached on the network,
         # read-only), and the utility restricted to those columns.
@@ -126,9 +138,10 @@ class HasteObjective:
             # uses this to plan against only the already-released tasks.
             self.active = self.active & mask[:, None]
             self.weights = np.where(mask, self.weights, 0.0)
-            self._active_sub = [self.active[cols] for cols in self._cols]
-        else:
+        if self.active is network.active:
             self._active_sub = network.active_by_charger()
+        else:
+            self._active_sub = [self.active[cols] for cols in self._cols]
         self._w_cols = [self.weights[cols] for cols in self._cols]
         # Per-partition (charger, slot) → (P_i, |T_i|) slot-energy block.
         # The block depends only on static data (sparse power × activity
@@ -189,19 +202,15 @@ class HasteObjective:
     # ------------------------------------------------------------------
     # Incremental evaluation
     # ------------------------------------------------------------------
-    def added_energy(
-        self, charger: int, slot: int, active_override: np.ndarray | None = None
-    ) -> np.ndarray:
+    def added_energy(self, charger: int, slot: int) -> np.ndarray:
         """Energy each policy of ``charger`` adds during ``slot``: ``(P_i, m)``.
 
         Zero for tasks inactive at ``slot`` — the inner sum of RP1 runs only
-        over slots inside each task's window.  ``active_override`` replaces
-        the slot's activity column (the online baselines use it to model
-        their τ-delayed knowledge of arrivals).  Dense by construction, for
-        the MILP and the baselines; the hot paths use
+        over slots inside each task's window.  Dense by construction, for
+        the MILP and the static baseline; the hot paths use
         :meth:`added_energy_cols` instead.
         """
-        col = self.active[:, slot] if active_override is None else active_override
+        col = self.active[:, slot]
         return self.network.dense_policy_energy()[charger] * col[None, :]
 
     def added_energy_cols(self, charger: int, slot: int) -> np.ndarray:
@@ -434,9 +443,12 @@ class BatchedCharger:
         self._SE = SE
         self._ACT = ACT
         self._E3 = E[:, None, :]  # broadcast against (M, P*, t*)
-        if dt == np.dtype(np.float32):
-            # Single precision inlines the linear-bounded gain formula; the
-            # utility classes would silently upcast to float64.
+        self._one = dt.type(1.0)
+        if ufam is LinearBoundedUtility:
+            # :meth:`gains` inlines the linear-bounded gain formula: the
+            # ufunc sequence of ``LinearBoundedUtility.gain`` without its
+            # per-call overhead, and in single precision, which the class
+            # would silently upcast to float64.
             self._util: UtilityFunction | None = None
         elif ufam is PowerLawUtility:
             if len(gammas) != 1:
@@ -456,24 +468,27 @@ class BatchedCharger:
         self._G = np.empty((M, P_max), dtype=dt)
         self.arange = np.arange(M)
 
+    def active_slots(self) -> np.ndarray:
+        """Slots at which some member has an active receivable task.
+
+        At every other slot all gains are ``0.0`` and no member commits.
+        """
+        return np.flatnonzero(self._ACT.any(axis=(0, 1)))
+
     def gains(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked partition gains for ``slot``: ``(G, add)``.
+        """Stacked partition gains for ``slot < num_slots``: ``(G, add)``.
 
         ``G`` is ``(M, P*)`` with padded policies at ``-1.0``; ``add`` is the
         stacked ``(M, P*, t*)`` slot-energy tensor, to be passed back to
         :meth:`apply`.  ``G[m, :P_m]`` equals the sequential
         ``partition_gains`` output of member ``m`` bit-for-bit (float64).
         """
-        acol = self._ACT[:, :, slot] if slot < self._ACT.shape[2] else None
-        if acol is None:
-            add = np.zeros_like(self._SE)
-        else:
-            add = self._SE * acol[:, None, :]
+        add = self._SE * self._ACT[:, None, :, slot]
         cur3 = self.cur[:, None, :]
         if self._util is not None:
             tens = self._util.gain(cur3, add)
         else:
-            one = self.dtype.type(1.0)
+            one = self._one
             tens = np.minimum((cur3 + add) / self._E3, one) - np.minimum(
                 cur3 / self._E3, one
             )

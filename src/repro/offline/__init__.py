@@ -1,11 +1,6 @@
 """Centralized offline scheduling: Algorithm 2, baselines, exact optima."""
 
-from .baselines import (
-    greedy_cover_schedule,
-    greedy_utility_schedule,
-    random_schedule,
-    static_orientation_schedule,
-)
+from .baselines import random_schedule, static_orientation_schedule
 from .centralized import CentralizedScheduler, OfflineResult, schedule_offline
 from .optimal import OptimalResult, brute_force_optimal, optimal_schedule
 from .smoothing import smooth_switches
@@ -15,8 +10,6 @@ __all__ = [
     "OfflineResult",
     "OptimalResult",
     "brute_force_optimal",
-    "greedy_cover_schedule",
-    "greedy_utility_schedule",
     "optimal_schedule",
     "random_schedule",
     "schedule_offline",

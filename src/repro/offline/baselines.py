@@ -1,19 +1,9 @@
-"""Comparison algorithms — paper §7.2 plus two extra ablation baselines.
+"""Comparison algorithms — the extra ablation baselines.
 
 The paper proposes two baselines (there being no prior art for directional
-charging task scheduling):
-
-* **GreedyUtility** — every charger independently picks, slot by slot, the
-  orientation (dominant task set) that maximizes *its own* charging-utility
-  gain, ignoring what neighboring chargers deliver.  The charger therefore
-  accounts only for the energy it has itself delivered to each task.
-* **GreedyCover** — identical except the per-slot pick maximizes the
-  *number of active tasks covered* (ties to the lower policy index).
-
-Both are trivially distributable (each charger acts on local knowledge
-only), which is why the paper uses them in both the offline and online
-comparisons; the online runtime re-runs them with the same information
-delays as HASTE-DO.
+charging task scheduling), GreedyUtility and GreedyCover (§7.2).  Both
+live in :mod:`repro.offline.batched` as one batched driver each, which
+every solo, batched and τ-delayed online solve runs.
 
 Extras for ablations (not in the paper):
 
@@ -33,73 +23,9 @@ from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
 from ..objective.haste import HasteObjective
 
-__all__ = [
-    "greedy_utility_schedule",
-    "greedy_cover_schedule",
-    "random_schedule",
-    "static_orientation_schedule",
-]
+__all__ = ["random_schedule", "static_orientation_schedule"]
 
 MIN_GAIN: float = 1e-12
-
-
-def greedy_utility_schedule(
-    network: ChargerNetwork,
-    *,
-    utility: UtilityFunction | None = None,
-    start_slot: int = 0,
-    schedule: Schedule | None = None,
-    own_energy: np.ndarray | None = None,
-) -> Schedule:
-    """GreedyUtility baseline (paper §7.2).
-
-    Each charger keeps a private per-task energy ledger containing only the
-    energy *it* delivered, and at every slot selects the policy with the
-    largest weighted utility gain against that ledger.  The optional
-    ``start_slot`` / ``schedule`` / ``own_energy`` parameters let the online
-    runtime resume the same policy mid-horizon on a partially known network.
-
-    ``own_energy`` has shape ``(n, m)``; it is mutated in place.
-    """
-    objective = HasteObjective(network, utility)
-    sched = schedule if schedule is not None else Schedule(network)
-    own = own_energy if own_energy is not None else np.zeros((network.n, network.m))
-    for k in range(start_slot, network.num_slots):
-        for i in range(network.n):
-            if network.policy_count(i) <= 1:
-                continue
-            gains = objective.partition_gains(own[i], i, k)  # (P_i,)
-            best_p = int(np.argmax(gains))
-            if best_p != IDLE_POLICY and gains[best_p] > MIN_GAIN:
-                sched.set(i, k, best_p)
-                objective.apply(own[i], i, k, best_p)
-    return sched
-
-
-def greedy_cover_schedule(
-    network: ChargerNetwork,
-    *,
-    start_slot: int = 0,
-    schedule: Schedule | None = None,
-) -> Schedule:
-    """GreedyCover baseline (paper §7.2).
-
-    Per slot, each charger selects the dominant task set covering the most
-    *currently active* tasks; ties break to the lower policy index (the one
-    Algorithm 1's sweep emits first), zero coverage stays idle.
-    """
-    sched = schedule if schedule is not None else Schedule(network)
-    for i in range(network.n):
-        p_count = network.policy_count(i)
-        if p_count <= 1:
-            continue
-        cover = network.cover_masks[i]  # (P_i, m)
-        for k in range(start_slot, network.num_slots):
-            counts = cover @ network.active[:, k]  # (P_i,)
-            best_p = int(np.argmax(counts))
-            if best_p != IDLE_POLICY and counts[best_p] > 0:
-                sched.set(i, k, best_p)
-    return sched
 
 
 def random_schedule(

@@ -1,19 +1,22 @@
-"""Batched multi-instance baselines — one BLAS-shaped pass, B instances.
+"""The paper's two baselines, GreedyUtility and GreedyCover (§7.2).
 
-The serve layer and the benchmark harness solve many *similar* instances:
+These drivers are the only implementation of either baseline: a solo
+solve is a batch of one, a batch of B solves B instances in one pass, and
+the online runtime plans its τ-delayed baselines with the same drivers on
+a delayed activity matrix (``actives``).  Batching exists because the
+serve layer and the benchmark harness solve many *similar* instances:
 same config, different seeds.  Solving them one by one leaves numpy
 dispatch as the dominant cost (a paper-scale GreedyUtility plan is ~6000
-partition evaluations of a handful of small ufuncs each).  The planning
-drivers here run the same algorithms with the per-partition element-wise
-work stacked across the batch via
-:class:`~repro.objective.haste.BatchedCharger`, so the dispatch count is
-~independent of the batch size.  Execution is a loop over the
+partition evaluations of a handful of small ufuncs each).
+GreedyUtility stacks the per-partition element-wise work across the batch
+via :class:`~repro.objective.haste.BatchedCharger`, so the dispatch count
+is ~independent of the batch size.  Execution is a loop over the
 column-compressed :func:`~repro.sim.engine.execute_schedule`.
 
-Bit-identity contract (float64): for every member ``b`` the returned
-schedule and execution equal ``greedy_*_schedule(networks[b])`` /
-``execute_schedule(networks[b], ...)`` *bit for bit*.  The argument, in
-brief (DESIGN.md §14 has the long form):
+Bit-identity contract (float64): member ``b`` of a batch gets the schedule
+it gets as a batch of one, and that schedule equals the plain scalar loop
+(one charger, one slot at a time) kept in ``tests/oracles/baselines.py``
+*bit for bit*.  The argument, in brief (DESIGN.md §14 has the long form):
 
 * chargers are independent in both baselines (GreedyUtility keeps a
   private own-energy ledger; GreedyCover only reads static data), so
@@ -23,7 +26,9 @@ brief (DESIGN.md §14 has the long form):
   no-ops (see :class:`BatchedCharger`);
 * every reduction that could reassociate — the gains GEMV — is issued
   per member on a contiguous copy of its exact block, i.e. the very BLAS
-  call the sequential path makes.
+  call the scalar loop makes;
+* a slot where no member has an active receivable task is skipped: every
+  gain there is ``0.0``, so no member commits and the ledgers are unchanged.
 """
 
 from __future__ import annotations
@@ -49,22 +54,31 @@ def greedy_utility_schedule_batch(
     networks: list[ChargerNetwork],
     *,
     utilities: list[UtilityFunction | None] | None = None,
+    actives: list[np.ndarray] | None = None,
     dtype: np.dtype | type = np.float64,
 ) -> list[Schedule]:
-    """GreedyUtility over a batch of networks (see module docstring).
+    """GreedyUtility over a batch of networks.
 
-    ``utilities[b]`` overrides network ``b``'s scoring utility exactly like
-    the ``utility=`` parameter of :func:`greedy_utility_schedule`; all
-    members must resolve to the same utility family.  ``dtype=np.float32``
-    plans in single precision (linear-bounded utilities only) — schedules
-    may then differ from float64 on near-ties, see DESIGN.md §14.
+    Each charger keeps a private per-task energy ledger holding only the
+    energy *it* delivered, and at every slot selects the policy with the
+    largest weighted utility gain against that ledger (ties to the lower
+    policy index; no gain above ``MIN_GAIN`` stays idle).
+
+    ``utilities[b]`` overrides network ``b``'s scoring utility; all
+    members must resolve to the same utility family.  ``actives[b]`` is the
+    ``(m, K)`` activity member ``b`` plans on (default: its network's).
+    ``dtype=np.float32`` plans in single precision (linear-bounded
+    utilities only) — schedules may then differ from float64 on
+    near-ties, see DESIGN.md §14.
     """
     B = len(networks)
     utils = list(utilities) if utilities is not None else [None] * B
-    if len(utils) != B:
-        raise ValueError("utilities must match networks in length")
+    acts = list(actives) if actives is not None else [None] * B
+    if len(utils) != B or len(acts) != B:
+        raise ValueError("utilities and actives must match networks in length")
     objectives = [
-        HasteObjective(net, u) for net, u in zip(networks, utils)
+        HasteObjective(net, u, active=a)
+        for net, u, a in zip(networks, utils, acts)
     ]
     schedules = [Schedule(net) for net in networks]
     n_max = max((net.n for net in networks), default=0)
@@ -83,11 +97,12 @@ def greedy_utility_schedule_batch(
         )
         ar = bc.arange
         rows = np.zeros((len(members), bc.num_slots), dtype=np.int64)
-        for k in range(bc.num_slots):
+        for k in bc.active_slots():
             G, add = bc.gains(k)
-            best = np.argmax(G, axis=1)
-            commit = (best != IDLE_POLICY) & (G[ar, best] > MIN_GAIN)
-            p_sel = np.where(commit, best, IDLE_POLICY)
+            best = G.argmax(axis=1)
+            # Idle gains are exactly 0.0, so a member commits its best
+            # policy iff that policy's gain clears MIN_GAIN.
+            p_sel = best * (G[ar, best] > MIN_GAIN)
             bc.apply(add, p_sel)
             rows[:, k] = p_sel
         for mpos, b in enumerate(members):
@@ -98,24 +113,33 @@ def greedy_utility_schedule_batch(
 
 def greedy_cover_schedule_batch(
     networks: list[ChargerNetwork],
+    *,
+    actives: list[np.ndarray] | None = None,
 ) -> list[Schedule]:
     """GreedyCover over a batch of networks.
 
-    One ``(P_i, m) @ (m, K)`` boolean matmul per charger replaces the
-    sequential path's ``K`` per-slot matvecs; boolean OR/AND logic is
-    order-independent, so the per-column first-covering argmax selects
-    exactly the policy :func:`greedy_cover_schedule` selects.
+    Per slot, each charger selects the *lowest-index* policy that covers
+    at least one task active at that slot, and stays idle when none does.
+    ``cover_masks[i] @ active`` multiplies two boolean arrays, so each
+    entry says whether a policy covers *any* active task, not how many.
+    One ``(P_i, m) @ (m, K)`` matmul per charger scores every slot at once;
+    ``actives[b]`` is the ``(m, K)`` activity member ``b`` plans on
+    (default: its network's).
     """
+    acts = list(actives) if actives is not None else [None] * len(networks)
+    if len(acts) != len(networks):
+        raise ValueError("actives must match networks in length")
     schedules = [Schedule(net) for net in networks]
-    for net, sched in zip(networks, schedules):
+    for net, sched, active in zip(networks, schedules, acts):
         K = net.num_slots
         if K == 0:
             continue
+        active = net.active if active is None else active
         cols = np.arange(K)
         for i in range(net.n):
             if net.policy_count(i) <= 1:
                 continue
-            covered = net.cover_masks[i] @ net.active  # (P_i, K) bool
+            covered = net.cover_masks[i] @ active  # (P_i, K) bool
             best = np.argmax(covered, axis=0)
             commit = covered[best, cols]
             sched.sel[i, :] = np.where(commit, best, IDLE_POLICY)

@@ -17,7 +17,9 @@ the full task set.
 
 The comparison baselines (GreedyUtility / GreedyCover, §7.2) run here too,
 with the same τ-delayed knowledge of arrivals, so the online sweeps
-(Figs. 11–15) compare like with like.
+(Figs. 11–15) compare like with like: :func:`run_online_baseline` plans
+the offline drivers of :mod:`repro.offline.batched` on the delayed
+activity and executes on the true network.
 """
 
 from __future__ import annotations
@@ -27,19 +29,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..core.network import IDLE_POLICY, ChargerNetwork
+from ..core.network import ChargerNetwork
 from ..core.policy import Schedule
 from ..faults.bus import FaultStats
 from ..faults.model import FaultModel
 from ..objective.haste import HasteObjective
+from ..offline.batched import (
+    greedy_cover_schedule_batch,
+    greedy_utility_schedule_batch,
+)
 from ..offline.smoothing import smooth_switches
 from ..sim.engine import ExecutionResult, execute_schedule
 from .distributed import negotiate_window
 from .messaging import MessageStats
 
 __all__ = ["OnlineRunResult", "run_online_haste", "run_online_baseline"]
-
-MIN_GAIN: float = 1e-12
 
 
 @dataclass
@@ -251,38 +255,21 @@ def run_online_baseline(
     At slot ``k`` a charger only reacts to tasks released at or before
     ``k − τ`` (it needs τ slots to learn about and re-plan for an arrival,
     like HASTE-DO); it then greedily picks its orientation exactly as the
-    offline baseline would.  ``kind`` is ``"utility"`` or ``"cover"``.
+    offline baseline would.  So the plan is the offline driver's on the
+    delayed activity ``active & (release_slot + τ ≤ k)``, and at ``τ = 0``
+    it is the offline schedule.  ``kind`` is ``"utility"`` or ``"cover"``.
     """
     if kind not in ("utility", "cover"):
         raise ValueError(f"kind must be 'utility' or 'cover', got {kind!r}")
     if tau < 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
 
-    objective = HasteObjective(network)
-    sched = Schedule(network)
-    own = np.zeros((network.n, network.m))
-    K = network.num_slots
-    for k in range(K):
-        known = network.release_slots + tau <= k
-        eff_active = network.active[:, k] & known
-        if not eff_active.any():
-            continue
-        for i in range(network.n):
-            if network.policy_count(i) <= 1:
-                continue
-            if kind == "utility":
-                add = objective.added_energy(i, k, active_override=eff_active)
-                gains = objective.utility.gain(own[i][None, :], add) @ objective.weights
-                best_p = int(np.argmax(gains))
-                if best_p != IDLE_POLICY and gains[best_p] > MIN_GAIN:
-                    sched.set(i, k, best_p)
-                    own[i] += add[best_p]
-            else:
-                counts = network.cover_masks[i] @ eff_active
-                best_p = int(np.argmax(counts))
-                if best_p != IDLE_POLICY and counts[best_p] > 0:
-                    sched.set(i, k, best_p)
-
+    slots = np.arange(network.num_slots)
+    delayed = network.active & (network.release_slots[:, None] + tau <= slots)
+    if kind == "utility":
+        (sched,) = greedy_utility_schedule_batch([network], actives=[delayed])
+    else:
+        (sched,) = greedy_cover_schedule_batch([network], actives=[delayed])
     execution = execute_schedule(network, sched, rho=rho)
     return OnlineRunResult(
         schedule=sched, execution=execution, stats=MessageStats(), events=0

@@ -15,8 +15,8 @@ spec                           pre-refactor call
                                num_samples=cfg.num_samples, rng=rng)`` + smoothing
 ``haste-offline:c=1``          ``schedule_offline(net, 1, rng=rng)`` + smoothing
 ``haste-offline:smooth=0``     the raw Algorithm 2 schedule (Figs. 8/18 style)
-``greedy-utility``             ``greedy_utility_schedule`` + execution
-``greedy-cover``               ``greedy_cover_schedule`` + execution
+``greedy-utility``             ``greedy_utility_schedule_batch([net])`` + execution
+``greedy-cover``               ``greedy_cover_schedule_batch([net])`` + execution
 ``static``                     ``static_orientation_schedule`` + execution
 ``random``                     ``random_schedule(net, rng)`` + execution
 ``offline-optimal``            ``optimal_schedule`` (HiGHS MILP)
@@ -25,6 +25,9 @@ spec                           pre-refactor call
 ``online-greedy-utility``      ``run_online_baseline(net, "utility")``
 ``online-greedy-cover``        ``run_online_baseline(net, "cover")``
 =============================  =====================================================
+
+The two paper baselines have one body each, the batched one: a solo
+``greedy-utility`` / ``greedy-cover`` solve runs it on a batch of one.
 
 Parameter defaults of ``None`` resolve from the
 :class:`~repro.sim.config.SimulationConfig` at solve time (``c`` →
@@ -48,12 +51,7 @@ import time
 import numpy as np
 
 from ..core.utility import LinearBoundedUtility, LogUtility, PowerLawUtility
-from ..offline.baselines import (
-    greedy_cover_schedule,
-    greedy_utility_schedule,
-    random_schedule,
-    static_orientation_schedule,
-)
+from ..offline.baselines import random_schedule, static_orientation_schedule
 from ..faults.model import FaultModel
 from ..offline.batched import (
     execute_schedule_batch,
@@ -172,38 +170,15 @@ def _solve_haste_offline(prepared, rng, config, params) -> RunArtifact:
     )
 
 
-def _solve_greedy_utility(prepared, rng, config, params) -> RunArtifact:
-    network = prepared.network
-    util = _prepared_utility(prepared, params)
-    start = time.perf_counter()
-    schedule = greedy_utility_schedule(network, utility=util)
-    plan_s = time.perf_counter() - start
-    execution = execute_schedule(network, schedule, rho=config.rho, utility=util)
-    return artifact_from_execution(
-        network, schedule, execution, meta={"plan_s": plan_s}
-    )
-
-
-def _solve_greedy_cover(prepared, rng, config, params) -> RunArtifact:
-    network = prepared.network
-    start = time.perf_counter()
-    schedule = greedy_cover_schedule(network)
-    plan_s = time.perf_counter() - start
-    execution = execute_schedule(network, schedule, rho=config.rho)
-    return artifact_from_execution(
-        network, schedule, execution, meta={"plan_s": plan_s}
-    )
-
-
 def _batch_meta(dtype, plan_s) -> dict:
-    meta = {"plan_s": plan_s, "batched": True}
+    meta = {"plan_s": plan_s}
     if np.dtype(dtype) == np.dtype(np.float32):
         meta["dtype"] = "float32"
     return meta
 
 
 def _batch_greedy_utility(prepareds, rngs, configs, params, dtype) -> list[RunArtifact]:
-    """Batched GreedyUtility — bit-identical (float64) to the loop above."""
+    """GreedyUtility, planned for the whole batch in one driver call."""
     networks = [p.network for p in prepareds]
     utils = [_prepared_utility(p, params) for p in prepareds]
     start = time.perf_counter()
@@ -240,6 +215,15 @@ def _batch_greedy_cover(prepareds, rngs, configs, params, dtype) -> list[RunArti
         )
         for net, sched, execution in zip(networks, schedules, executions)
     ]
+
+
+def _solo(batch_body):
+    """A solve body that runs ``batch_body`` on a batch of one (float64)."""
+
+    def body(prepared, rng, config, params) -> RunArtifact:
+        return batch_body([prepared], [rng], [config], params, np.float64)[0]
+
+    return body
 
 
 def _solve_static(prepared, rng, config, params) -> RunArtifact:
@@ -373,7 +357,7 @@ register(
 
 register(
     "greedy-utility",
-    _solve_greedy_utility,
+    _solo(_batch_greedy_utility),
     SolverCapabilities(
         setting="offline",
         deterministic=True,
@@ -386,7 +370,7 @@ register(
 
 register(
     "greedy-cover",
-    _solve_greedy_cover,
+    _solo(_batch_greedy_cover),
     SolverCapabilities(
         setting="offline",
         deterministic=True,

@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.network import ChargerNetwork
-from ..offline.baselines import greedy_cover_schedule, greedy_utility_schedule
+from ..offline.batched import (
+    greedy_cover_schedule_batch,
+    greedy_utility_schedule_batch,
+)
 from ..offline.centralized import schedule_offline
 from ..offline.smoothing import smooth_switches
 from ..online.runtime import run_online_baseline, run_online_haste
@@ -104,8 +107,8 @@ def run_testbed(
         haste = schedule_offline(network, num_colors, rng=rng)
         runs = {
             "HASTE": smooth_switches(network, haste.schedule, rho=rho),
-            "GreedyUtility": greedy_utility_schedule(network),
-            "GreedyCover": greedy_cover_schedule(network),
+            "GreedyUtility": greedy_utility_schedule_batch([network])[0],
+            "GreedyCover": greedy_cover_schedule_batch([network])[0],
         }
         for name, sched in runs.items():
             ex = execute_schedule(network, sched, rho=rho)

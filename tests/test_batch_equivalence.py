@@ -10,7 +10,10 @@ batched kernel route through the sequential-loop fallback, which must be
 exact by construction; solvers with one (``greedy-utility``,
 ``greedy-cover``) exercise the stacked evaluation in
 :class:`~repro.objective.haste.BatchedCharger` and
-:mod:`repro.offline.batched`.
+:mod:`repro.offline.batched`.  Their solo solve is a batch of one, so
+:class:`TestOraclePins` also pins the drivers against the scalar loops in
+``tests/oracles/baselines.py``, on the network's activity and on
+τ-delayed activity.
 
 Float32 is the *opt-in* relaxation: the planning kernel runs in single
 precision (execution stays float64), tolerance pinned here at paper
@@ -22,6 +25,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.offline.batched import (
+    greedy_cover_schedule_batch,
+    greedy_utility_schedule_batch,
+)
 from repro.sim.config import SimulationConfig
 from repro.solvers import (
     Instance,
@@ -32,6 +39,9 @@ from repro.solvers import (
     solve_instance,
     solver_names,
 )
+from repro.solvers.builtin import resolve_utility
+
+from oracles import baselines as ref
 
 QUICK = SimulationConfig.quick()
 SMALL = SimulationConfig.small_scale()
@@ -138,6 +148,63 @@ class TestBatchLoopEquivalence:
             instances = [Instance.sample(QUICK, 350 + s) for s in SEEDS]
             direct = [solve_instance(spec, inst) for inst in instances]
             assert _hashes(solve_batch(spec, instances)) == _hashes(direct)
+
+
+class TestOraclePins:
+    """Every member of a ragged batch equals the scalar loop, bit for bit."""
+
+    @staticmethod
+    def _networks(config=None, seeds=SEEDS):
+        if config is not None:
+            return [Instance.sample(config, 11 + s).network() for s in seeds]
+        return [inst.network() for inst in _ragged_instances("greedy-utility")]
+
+    @pytest.mark.parametrize(
+        "params",
+        [{}, {"utility": "log"}, {"utility": "powerlaw", "gamma": 0.7}],
+        ids=["linear", "log", "powerlaw"],
+    )
+    def test_greedy_utility(self, params):
+        nets = self._networks()
+        utils = [resolve_utility(net, params) for net in nets]
+        got = greedy_utility_schedule_batch(nets, utilities=utils)
+        for net, util, sched in zip(nets, utils, got):
+            assert sched == ref.greedy_utility_schedule(net, utility=util)
+
+    def test_greedy_cover(self):
+        nets = self._networks()
+        got = greedy_cover_schedule_batch(nets)
+        assert got == [ref.greedy_cover_schedule(net) for net in nets]
+
+    @pytest.mark.parametrize("tau", [0, 1, 3])
+    def test_delayed_activity(self, tau):
+        nets = self._networks()
+        actives = [ref.delayed_activity(net, tau) for net in nets]
+        got_u = greedy_utility_schedule_batch(nets, actives=actives)
+        got_c = greedy_cover_schedule_batch(nets, actives=actives)
+        for net, active, su, sc in zip(nets, actives, got_u, got_c):
+            assert su == ref.greedy_utility_schedule(net, active=active)
+            assert sc == ref.greedy_cover_schedule(net, active=active)
+            assert sc == ref.online_baseline_dense(net, "cover", tau=tau)
+
+    def test_paper_scale(self):
+        nets = self._networks(SimulationConfig.paper(), seeds=(0, 1))
+        actives = [ref.delayed_activity(net, 1) for net in nets]
+        for acts in (None, actives):
+            got = greedy_utility_schedule_batch(nets, actives=acts)
+            for b, net in enumerate(nets):
+                active = None if acts is None else acts[b]
+                assert got[b] == ref.greedy_utility_schedule(net, active=active)
+
+    def test_network_activity_untouched(self):
+        (net,) = self._networks(QUICK, seeds=(0,))
+        before = net.active.copy()
+        greedy_utility_schedule_batch([net], actives=[ref.delayed_activity(net, 2)])
+        assert np.array_equal(net.active, before)
+        assert all(
+            np.array_equal(sub, net.active[cols])
+            for sub, cols in zip(net.active_by_charger(), net.policy_tasks)
+        )
 
 
 class TestFloat32Path:

@@ -10,6 +10,7 @@ manually / by the repository's recorded outputs.
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -76,6 +77,24 @@ class TestExamples:
             node.name for node in tree.body if isinstance(node, ast.FunctionDef)
         }
         assert "main" in names, f"{path.name} lacks a main() entry point"
+
+    @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
+    def test_repro_imports_resolve(self, path):
+        """Every name an example imports from a ``repro`` module exists."""
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                if node.module.split(".")[0] != "repro":
+                    continue
+                module = importlib.import_module(node.module)
+                for alias in node.names:
+                    if not hasattr(module, alias.name):
+                        # ``from pkg import submodule`` imports it on demand.
+                        importlib.import_module(f"{node.module}.{alias.name}")
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "repro":
+                        importlib.import_module(alias.name)
 
     @pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.stem)
     def test_only_public_imports(self, path):

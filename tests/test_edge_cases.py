@@ -12,12 +12,10 @@ import pytest
 
 from repro.core import Charger, ChargerNetwork, ChargingTask, Schedule
 from repro.objective import HasteObjective
-from repro.offline import (
-    greedy_cover_schedule,
-    greedy_utility_schedule,
-    optimal_schedule,
-    schedule_offline,
-    smooth_switches,
+from repro.offline import optimal_schedule, schedule_offline, smooth_switches
+from repro.offline.batched import (
+    greedy_cover_schedule_batch,
+    greedy_utility_schedule_batch,
 )
 from repro.online import run_online_baseline, run_online_haste
 from repro.sim.engine import execute_schedule
@@ -46,8 +44,9 @@ class TestNoCoverage:
     def test_schedulers_return_zero(self):
         net = isolated_network()
         assert schedule_offline(net, 2, rng=np.random.default_rng(0)).objective_value == 0.0
-        assert execute_schedule(net, greedy_utility_schedule(net)).total_utility == 0.0
-        assert execute_schedule(net, greedy_cover_schedule(net)).total_utility == 0.0
+        for driver in (greedy_utility_schedule_batch, greedy_cover_schedule_batch):
+            (sched,) = driver([net])
+            assert execute_schedule(net, sched).total_utility == 0.0
 
     def test_online_returns_zero(self):
         net = isolated_network()

@@ -23,7 +23,10 @@ from repro.core import ChargerNetwork, LinearBoundedUtility
 from repro.core.policy import network_fingerprint
 from repro.core.utility import LogUtility, PowerLawUtility
 from repro.objective import HasteObjective
-from repro.offline import greedy_cover_schedule, greedy_utility_schedule
+from repro.offline.batched import (
+    greedy_cover_schedule_batch,
+    greedy_utility_schedule_batch,
+)
 from repro.offline.centralized import CentralizedScheduler
 from repro.offline.smoothing import smooth_switches
 from repro.online import run_online_haste
@@ -214,7 +217,7 @@ def _haste_schedules(net, seed: int) -> list:
     return [
         CentralizedScheduler(net).run(c, rng=np.random.default_rng(seed)).schedule
         for c in (1, 4)
-    ] + [greedy_utility_schedule(net)]
+    ] + greedy_utility_schedule_batch([net])
 
 
 def _smoothing_options(net) -> list[dict]:
@@ -290,8 +293,8 @@ class TestExecutionOracle:
         net = make_net(seed)
         schedules = [
             CentralizedScheduler(net).run(4, rng=np.random.default_rng(seed)).schedule,
-            greedy_utility_schedule(net),
-            greedy_cover_schedule(net),
+            *greedy_utility_schedule_batch([net]),
+            *greedy_cover_schedule_batch([net]),
         ]
         _assert_executions_match(net, schedules)
 
@@ -299,7 +302,7 @@ class TestExecutionOracle:
         net = make_net(11, SimulationConfig.paper())
         schedules = [
             CentralizedScheduler(net).run(4, rng=np.random.default_rng(11)).schedule,
-            greedy_cover_schedule(net),
+            *greedy_cover_schedule_batch([net]),
         ]
         _assert_executions_match(net, schedules)
 

@@ -98,12 +98,11 @@ class TestAlgorithmOrdering:
             res = schedule_offline(net, 1, rng=np.random.default_rng(seed))
             sched = smooth_switches(net, res.schedule, rho=cfg.rho)
             h_off.append(execute_schedule(net, sched, rho=cfg.rho).total_utility)
-            from repro.offline import greedy_utility_schedule
+            from repro.offline.batched import greedy_utility_schedule_batch
 
+            (gu_sched,) = greedy_utility_schedule_batch([net])
             gu_off.append(
-                execute_schedule(
-                    net, greedy_utility_schedule(net), rho=cfg.rho
-                ).total_utility
+                execute_schedule(net, gu_sched, rho=cfg.rho).total_utility
             )
             h_on.append(
                 run_online_haste(

@@ -8,16 +8,28 @@ import pytest
 from repro.core import Schedule
 from repro.core.network import IDLE_POLICY
 from repro.offline import (
-    greedy_cover_schedule,
-    greedy_utility_schedule,
     random_schedule,
     schedule_offline,
     smooth_switches,
     static_orientation_schedule,
 )
+from repro.offline.batched import (
+    greedy_cover_schedule_batch,
+    greedy_utility_schedule_batch,
+)
 from repro.sim.engine import execute_schedule
 
 from conftest import build_network
+
+
+def greedy_utility_schedule(net):
+    (sched,) = greedy_utility_schedule_batch([net])
+    return sched
+
+
+def greedy_cover_schedule(net):
+    (sched,) = greedy_cover_schedule_batch([net])
+    return sched
 
 
 class TestGreedyUtility:
@@ -35,14 +47,6 @@ class TestGreedyUtility:
         sched = greedy_utility_schedule(small_network)
         ex = execute_schedule(small_network, sched)
         assert ex.total_utility > 0
-
-    def test_resume_from_slot(self, small_network):
-        full = greedy_utility_schedule(small_network)
-        # Resuming at slot 0 with fresh state reproduces the full run.
-        resumed = greedy_utility_schedule(small_network, start_slot=0)
-        assert full == resumed
-        partial = greedy_utility_schedule(small_network, start_slot=3)
-        assert np.all(partial.sel[:, :3] == IDLE_POLICY)
 
 
 class TestGreedyCover:

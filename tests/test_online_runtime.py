@@ -8,7 +8,9 @@ import pytest
 from repro.core import Charger, ChargerNetwork, ChargingTask
 from repro.offline import schedule_offline
 from repro.online import run_online_baseline, run_online_haste
+from repro.sim import SimulationConfig
 from repro.sim.engine import execute_schedule
+from repro.solvers import Instance, solve_instance
 
 from conftest import build_network
 
@@ -112,17 +114,34 @@ class TestOnlineBaselines:
     def test_online_baseline_at_most_offline_baseline(self):
         """The τ-delayed baseline cannot beat its clairvoyant version on
         average (information monotonicity)."""
-        from repro.offline import greedy_utility_schedule
+        from repro.offline.batched import greedy_utility_schedule_batch
 
         gaps = []
         for seed in range(4):
             net = build_network(seed + 90, n=4, m=12, horizon=6)
-            off = execute_schedule(
-                net, greedy_utility_schedule(net), rho=0.0
-            ).total_utility
+            (off_sched,) = greedy_utility_schedule_batch([net])
+            off = execute_schedule(net, off_sched, rho=0.0).total_utility
             on = run_online_baseline(net, "utility", tau=2, rho=0.0).total_utility
             gaps.append(off - on)
         assert np.mean(gaps) >= -1e-9
+
+
+class TestTauZeroIsOffline:
+    """A task is active only while ``release_slot ≤ k < end_slot``, so at
+    τ = 0 the delayed activity is the network's own and each online
+    baseline plans exactly its offline baseline's schedule."""
+
+    @pytest.mark.parametrize("seed", range(11, 17))
+    def test_paper_scale(self, seed):
+        inst = Instance.sample(SimulationConfig.paper(), seed)
+        for online, offline in (
+            ("online-greedy-utility:tau=0", "greedy-utility"),
+            ("online-greedy-cover:tau=0", "greedy-cover"),
+        ):
+            on = solve_instance(online, inst)
+            off = solve_instance(offline, inst)
+            assert np.array_equal(on.schedule_sel, off.schedule_sel), online
+            assert on.total_utility == off.total_utility
 
 
 class TestCompetitiveBehavior:

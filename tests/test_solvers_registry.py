@@ -5,7 +5,12 @@ spec must produce **bit-identical** results to the pre-refactor call it
 replaced (the adapter bodies formerly in ``repro.experiments.common`` and
 the hand-wired experiment closures), on fixed seeds at quick scale.  The
 reference implementations are inlined here on purpose — they must not
-drift with the registry they are checking.
+drift with the registry they are checking.  The two paper baselines pin
+against the scalar loops in ``tests/oracles/baselines.py``:
+``online-greedy-cover`` against the dense online loop, and
+``online-greedy-utility`` against the GreedyUtility loop on the τ-delayed
+activity (the dense loop summed gains over all tasks, so near-ties could
+break differently).
 """
 
 from __future__ import annotations
@@ -14,16 +19,11 @@ import numpy as np
 import pytest
 
 from repro.experiments.common import config_for_scale
-from repro.offline.baselines import (
-    greedy_cover_schedule,
-    greedy_utility_schedule,
-    random_schedule,
-    static_orientation_schedule,
-)
+from repro.offline.baselines import random_schedule, static_orientation_schedule
 from repro.offline.centralized import schedule_offline
 from repro.offline.optimal import optimal_schedule
 from repro.offline.smoothing import smooth_switches
-from repro.online.runtime import run_online_baseline, run_online_haste
+from repro.online.runtime import run_online_haste
 from repro.sim.config import SimulationConfig
 from repro.sim.engine import execute_schedule
 from repro.sim.workload import sample_network
@@ -39,6 +39,8 @@ from repro.solvers import (
     solve_instance,
     solver_names,
 )
+
+from oracles import baselines as ref_baselines
 
 
 class TestSpecParsing:
@@ -232,12 +234,12 @@ def _ref_haste_offline_c1_nosmooth(net, rng, cfg):
 
 
 def _ref_greedy_utility(net, rng, cfg):
-    ex = execute_schedule(net, greedy_utility_schedule(net), rho=cfg.rho)
+    ex = execute_schedule(net, ref_baselines.greedy_utility_schedule(net), rho=cfg.rho)
     return ex.total_utility, ex.energies
 
 
 def _ref_greedy_cover(net, rng, cfg):
-    ex = execute_schedule(net, greedy_cover_schedule(net), rho=cfg.rho)
+    ex = execute_schedule(net, ref_baselines.greedy_cover_schedule(net), rho=cfg.rho)
     return ex.total_utility, ex.energies
 
 
@@ -269,13 +271,16 @@ def _ref_online_c1(net, rng, cfg):
 
 
 def _ref_online_greedy_utility(net, rng, cfg):
-    run = run_online_baseline(net, "utility", tau=cfg.tau, rho=cfg.rho)
-    return run.total_utility, run.execution.energies
+    delayed = ref_baselines.delayed_activity(net, cfg.tau)
+    sched = ref_baselines.greedy_utility_schedule(net, active=delayed)
+    ex = execute_schedule(net, sched, rho=cfg.rho)
+    return ex.total_utility, ex.energies
 
 
 def _ref_online_greedy_cover(net, rng, cfg):
-    run = run_online_baseline(net, "cover", tau=cfg.tau, rho=cfg.rho)
-    return run.total_utility, run.execution.energies
+    sched = ref_baselines.online_baseline_dense(net, "cover", tau=cfg.tau)
+    ex = execute_schedule(net, sched, rho=cfg.rho)
+    return ex.total_utility, ex.energies
 
 
 PINNED = {
