@@ -325,33 +325,50 @@ class HasteObjective:
 
         ``start``/``stop`` restrict accounting to slots ``[start, stop)`` —
         the online runtime banks the energy of the already-fixed past this
-        way before planning the future.  Per charger, the selected
-        policies' ``|T_i|``-wide slot-energy rows are gathered at once and
-        summed by a sequential ``cumsum`` seeded with the running energies:
-        the same additions, in the same order, as a per-slot ``+=`` loop.
+        way before planning the future.
         """
-        net = self.network
-        stop = net.num_slots if stop is None else min(stop, net.num_slots)
-        energies = self.zero_energy()
-        for i in range(net.n):
-            sel = schedule.sel[i]
-            slots = np.flatnonzero(sel[start:stop]) + start
-            if slots.size == 0:
-                continue
-            cols = self._cols[i]
-            block = np.empty((slots.size + 1, cols.size))
-            block[0] = energies[cols]
-            np.multiply(
-                self._sparse_energy[i][sel[slots]],
-                self._active_sub[i][:, slots].T,
-                out=block[1:],
-            )
-            energies[cols] = np.cumsum(block, axis=0)[-1]
-        return energies
+        return self._energies_of_selections(schedule.sel[None], start, stop)[0]
 
     def value_of_schedule(self, schedule: Schedule) -> float:
         """HASTE-R objective value of a schedule (switching delay ignored)."""
         return float(self.value(self.energies_of_schedule(schedule)))
+
+    def values_of_selections(self, sels: np.ndarray) -> list[float]:
+        """:meth:`value_of_schedule` of ``D`` selection matrices ``(D, n, K)``."""
+        return [float(self.value(row)) for row in self._energies_of_selections(sels)]
+
+    def _energies_of_selections(
+        self, sels: np.ndarray, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Per-task harvested energy of ``D`` selection matrices, ``(D, m)``.
+
+        Per charger, every candidate's selected policies' ``|T_i|``-wide
+        slot-energy rows are gathered over the union of the candidates'
+        non-idle slots in ``[start, stop)`` and summed by a sequential
+        ``cumsum`` seeded with the running energies: the same additions, in
+        the same order, as a per-slot ``+=`` loop.  A candidate idle at a
+        union slot adds its idle policy's all-zero row, exactly ``+0.0``, so
+        each candidate's row is the one it gets alone.
+        """
+        net = self.network
+        stop = net.num_slots if stop is None else min(stop, net.num_slots)
+        energies = self.zero_energy((sels.shape[0],))
+        busy = sels[:, :, start:stop].any(axis=0)
+        for i in range(net.n):
+            slots = np.flatnonzero(busy[i]) + start
+            if slots.size == 0:
+                continue
+            sel = sels[:, i, slots]
+            cols = self._cols[i]
+            block = np.empty((sel.shape[0], slots.size + 1, cols.size))
+            block[:, 0] = energies[:, cols]
+            np.multiply(
+                self._sparse_energy[i][sel],
+                self._active_sub[i][:, slots].T,
+                out=block[:, 1:],
+            )
+            energies[:, cols] = np.cumsum(block, axis=1)[:, -1]
+        return energies
 
     def items_to_schedule(self, items: Iterable[tuple[int, int, int]]) -> Schedule:
         """Materialize a set of ``(charger, slot, policy)`` items."""

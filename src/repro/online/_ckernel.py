@@ -4,14 +4,17 @@ The distributed negotiation's inner loop and the offline TabularGreedy
 sweep are dispatch-bound: millions of tiny tensor evaluations whose
 arithmetic is a few hundred flops each.  ``_fastpath.c`` collapses each
 sweep evaluation into one C call, and each slot of the synchronous
-negotiation, all its rounds and colors, into one.  The extension is
-compiled on first import with the system C compiler and cached next to
-the source; anything going wrong — no compiler, no headers, sandboxed
-filesystem — degrades silently to the pure-NumPy path, which remains the
-reference implementation (the equivalence tests compare the two).  The
-negotiation module holds the one loaded handle
-(``repro.online.distributed._C``); the offline sweep reads it from there
-at run time.
+negotiation, all its rounds and colors, into one.  The task-weighted sums
+stay NumPy's own: the sweep calls ``np.matmul`` between its C calls, and
+the slot kernel calls ``np.matmul``'s float64 inner loop directly, bound
+once when the module loads (a NumPy without that loop fails the load).
+The extension is compiled on first import with the system C compiler and
+cached next to the source; anything going wrong — no compiler, no
+headers, sandboxed filesystem, no float64 matmul loop — degrades to the
+pure-NumPy path, which remains the reference implementation (the
+equivalence tests compare the two).  The negotiation module holds the one
+loaded handle (``repro.online.distributed._C``); the offline sweep reads
+it from there at run time.
 
 Set ``REPRO_DISABLE_CKERNEL=1`` to force the NumPy path (used by the
 tests to pin C-vs-NumPy protocol equivalence, and available as an escape

@@ -28,10 +28,10 @@
  *     (receiver, sample-row, task-column) block of the stacked (n, S, m)
  *     views array.
  *
- *   negotiate_slot(window, slot, active, groups, adds, table, commit_rounds)
+ *   negotiate_slot(window, q, active, groups, table, commit_rounds)
  *       -> (messages, broadcasts, rounds, negotiations, evals, hits)
- *     Every colour's synchronous lossless negotiation of one slot, round
- *     by round, exactly as the Python loop of distributed.py runs it:
+ *     Every colour's synchronous lossless negotiation of window slot ``q``,
+ *     round by round, exactly as the Python loop of distributed.py runs it:
  *     the proposal cache with its dirty rows, advertisement and
  *     withdrawal, the local-max commit test (ties to the lower ID), the
  *     UPD folds in ascending winner order with cache invalidation, and the
@@ -39,23 +39,29 @@
  *     color) -> policy``) and its round appended to ``commit_rounds``; the
  *     returned tuple holds the MessageStats deltas and the proposal
  *     evaluations and cache hits.  ``window`` is the tuple
- *     ``_slot_window`` in distributed.py binds once per window (views,
- *     colour draws, per-charger kernel bindings, neighbour lists, the
- *     receivable-column masks and ``np.matmul``); ``active`` lists
- *     the slot's participants in ascending order, ``groups`` their
- *     colour-draw columns and ``adds`` their (P, t) slot-energy blocks.
+ *     ``_slot_window`` in distributed.py binds once per window: the
+ *     stacked views, the colour draws, the colour count, the window's
+ *     slots, the per-charger bindings (receivable columns, required
+ *     energies, column weights, scratch buffers and the (|window|, P, t)
+ *     slot-energy blocks), the neighbour lists as CSR arrays and the
+ *     receivable-column masks.  ``active`` lists the slot's participants
+ *     in ascending order and ``groups`` their colour-draw columns.
  *     Raises RuntimeError on a round without a winner (livelock), with
  *     the Python loop's message.
  *
  * Numerical contract: every operation here is bit-for-bit identical to
- * the pure NumPy reference paths in distributed.py and centralized.py.  Element-wise ops
- * (add, divide, clip, subtract) are the same IEEE-754 double ops; the
- * column sum replicates NumPy's sequential row accumulation for an
- * axis-0 reduction with >= 2 columns; and the weighted sum over tasks —
- * whose BLAS-blocked ordering is not reproducible in portable C — is
- * deliberately left to NumPy (``np.matmul(tens, w, out=rg)`` in the
- * caller; negotiate_slot calls back into the ``np.matmul`` its window
- * binds, with the same operands).  Compile with -ffp-contract=off so no
+ * the pure NumPy reference paths in distributed.py and centralized.py.
+ * Element-wise ops (add, divide, clip, subtract) are the same IEEE-754
+ * double ops; the column sum replicates NumPy's sequential row
+ * accumulation for an axis-0 reduction with >= 2 columns.  The weighted
+ * sum over tasks, whose BLAS-blocked ordering is not reproducible in
+ * portable C, is NumPy's own: fill/finish leave it to ``np.matmul(tens,
+ * w, out=rg)`` in the caller, and negotiate_slot calls np.matmul's
+ * float64 inner loop directly (bound once at import from the ufunc's
+ * public type table) with the dimensions and steps NumPy passes for
+ * ``tens[:R] @ w``, so the same BLAS call or plain loop runs on the same
+ * operands.  The module fails to load, and the NumPy path runs, if
+ * np.matmul has no float64 loop.  Compile with -ffp-contract=off so no
  * FMA contraction changes rounding; see _ckernel.py for the build and the
  * fallback story.
  *
@@ -70,6 +76,7 @@
 
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <numpy/arrayobject.h>
+#include <numpy/ufuncobject.h>
 
 /* Fixed scratch capacity; the Python side falls back to NumPy for
  * instances larger than this (never hit by the paper's scales). */
@@ -290,6 +297,10 @@ fastpath_fold(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 /* negotiate_slot                                                      */
 /* ------------------------------------------------------------------ */
 
+/* np.matmul's float64 inner loop and its data, bound at import. */
+static PyUFuncGenericFunction matmul_dd;
+static void *matmul_dd_data;
+
 /* The window tuple, unpacked (all references borrowed from it). */
 typedef struct {
     double *views;            /* (n, S, m) stacked energy views */
@@ -297,22 +308,21 @@ typedef struct {
     const npy_int64 *colors;  /* (S, G) colour draws */
     npy_intp G;
     npy_intp num_colors;
+    const npy_intp *slots;    /* (W,) the window's slots */
+    npy_intp W;
     PyObject *agents;         /* list of n bindings (None = off the race) */
     const npy_intp *nbr_ptr;  /* (n + 1,) CSR offsets into nbr_idx */
     const npy_intp *nbr_idx;
     const unsigned char *colmask; /* (n, m) receivable-column masks */
-    PyObject *matmul;         /* np.matmul */
-    PyObject *kwnames;        /* ("out",) */
 } Window;
 
 /* One active agent's negotiation state for the current colour. */
 typedef struct {
     npy_intp id, group, P, t, R;
     const npy_intp *cols;
-    const double *E, *add;
+    const double *E, *w;
+    const double *add;        /* (P, t) slot-energy block of this slot */
     double *tens, *rg;
-    PyObject *w, *tens_arr, *rg_arr, *vcache; /* borrowed */
-    PyObject *tens_v, *rg_v;  /* tens[:R], rg[:R]; borrowed from vcache */
     const unsigned char *colmask;
     npy_intp *rows;           /* matching sample rows, ascending */
     unsigned char *inrow;     /* (S,) 1 where the row matches */
@@ -340,18 +350,20 @@ is_array(PyObject *obj, int ndim, int type_num, const char *what)
 static int
 parse_window(PyObject *obj, Window *win)
 {
-    if (!PyTuple_Check(obj) || PyTuple_GET_SIZE(obj) != 9) {
+    if (!PyTuple_Check(obj) || PyTuple_GET_SIZE(obj) != 8) {
         PyErr_SetString(PyExc_TypeError,
-                        "negotiate_slot: window must be a 9-tuple");
+                        "negotiate_slot: window must be an 8-tuple");
         return -1;
     }
     PyObject *views = PyTuple_GET_ITEM(obj, 0);
     PyObject *colors = PyTuple_GET_ITEM(obj, 1);
-    PyObject *nbr_ptr = PyTuple_GET_ITEM(obj, 4);
-    PyObject *nbr_idx = PyTuple_GET_ITEM(obj, 5);
-    PyObject *colmask = PyTuple_GET_ITEM(obj, 6);
+    PyObject *slots = PyTuple_GET_ITEM(obj, 3);
+    PyObject *nbr_ptr = PyTuple_GET_ITEM(obj, 5);
+    PyObject *nbr_idx = PyTuple_GET_ITEM(obj, 6);
+    PyObject *colmask = PyTuple_GET_ITEM(obj, 7);
     if (!is_array(views, 3, NPY_DOUBLE, "views")
         || !is_array(colors, 2, NPY_INT64, "colors")
+        || !is_array(slots, 1, NPY_INTP, "slots")
         || !is_array(nbr_ptr, 1, NPY_INTP, "nbr_ptr")
         || !is_array(nbr_idx, 1, NPY_INTP, "nbr_idx")
         || !is_array(colmask, 2, NPY_UINT8, "colmask")) {
@@ -368,18 +380,17 @@ parse_window(PyObject *obj, Window *win)
     if (win->num_colors == -1 && PyErr_Occurred()) {
         return -1;
     }
-    win->agents = PyTuple_GET_ITEM(obj, 3);
+    win->slots = (const npy_intp *)PyArray_DATA((PyArrayObject *)slots);
+    win->W = PyArray_DIM((PyArrayObject *)slots, 0);
+    win->agents = PyTuple_GET_ITEM(obj, 4);
     win->nbr_ptr = (const npy_intp *)PyArray_DATA((PyArrayObject *)nbr_ptr);
     win->nbr_idx = (const npy_intp *)PyArray_DATA((PyArrayObject *)nbr_idx);
     win->colmask = (const unsigned char *)PyArray_DATA((PyArrayObject *)colmask);
-    win->matmul = PyTuple_GET_ITEM(obj, 7);
-    win->kwnames = PyTuple_GET_ITEM(obj, 8);
     if (PyArray_DIM((PyArrayObject *)colors, 0) != win->S
         || !PyList_Check(win->agents) || PyList_GET_SIZE(win->agents) != win->n
         || PyArray_DIM((PyArrayObject *)nbr_ptr, 0) != win->n + 1
         || PyArray_DIM((PyArrayObject *)colmask, 0) != win->n
-        || PyArray_DIM((PyArrayObject *)colmask, 1) != win->m
-        || !PyTuple_Check(win->kwnames)) {
+        || PyArray_DIM((PyArrayObject *)colmask, 1) != win->m) {
         PyErr_SetString(PyExc_ValueError,
                         "negotiate_slot: window shapes do not agree");
         return -1;
@@ -388,9 +399,9 @@ parse_window(PyObject *obj, Window *win)
 }
 
 /* Bind one active agent: its window binding ``(cols, E, w, tens, rg,
- * vcache)`` and this slot's (P, t) energy block ``add``. */
+ * blocks)``, with ``add`` the (P, t) block of window slot ``q``. */
 static int
-bind_agent(const Window *win, SlotAgent *ag, PyObject *add)
+bind_agent(const Window *win, SlotAgent *ag, npy_intp q)
 {
     PyObject *binding = PyList_GET_ITEM(win->agents, ag->id);
     if (!PyTuple_Check(binding) || PyTuple_GET_SIZE(binding) != 6) {
@@ -400,19 +411,21 @@ bind_agent(const Window *win, SlotAgent *ag, PyObject *add)
     }
     PyObject *cols = PyTuple_GET_ITEM(binding, 0);
     PyObject *E = PyTuple_GET_ITEM(binding, 1);
-    ag->w = PyTuple_GET_ITEM(binding, 2);
-    ag->tens_arr = PyTuple_GET_ITEM(binding, 3);
-    ag->rg_arr = PyTuple_GET_ITEM(binding, 4);
-    ag->vcache = PyTuple_GET_ITEM(binding, 5);
+    PyObject *w = PyTuple_GET_ITEM(binding, 2);
+    PyObject *tens_arr = PyTuple_GET_ITEM(binding, 3);
+    PyObject *rg_arr = PyTuple_GET_ITEM(binding, 4);
+    PyObject *blocks_arr = PyTuple_GET_ITEM(binding, 5);
     if (!is_array(cols, 1, NPY_INTP, "cols")
         || !is_array(E, 1, NPY_DOUBLE, "E")
-        || !is_array(ag->tens_arr, 3, NPY_DOUBLE, "tens")
-        || !is_array(ag->rg_arr, 2, NPY_DOUBLE, "rg")
-        || !is_array(add, 2, NPY_DOUBLE, "add")) {
+        || !is_array(w, 1, NPY_DOUBLE, "w")
+        || !is_array(tens_arr, 3, NPY_DOUBLE, "tens")
+        || !is_array(rg_arr, 2, NPY_DOUBLE, "rg")
+        || !is_array(blocks_arr, 3, NPY_DOUBLE, "blocks")) {
         return -1;
     }
-    PyArrayObject *tens = (PyArrayObject *)ag->tens_arr;
-    PyArrayObject *rg = (PyArrayObject *)ag->rg_arr;
+    PyArrayObject *tens = (PyArrayObject *)tens_arr;
+    PyArrayObject *rg = (PyArrayObject *)rg_arr;
+    PyArrayObject *blocks = (PyArrayObject *)blocks_arr;
     ag->P = PyArray_DIM(tens, 1);
     ag->t = PyArray_DIM(tens, 2);
     if (ag->P < 2 || ag->P > FP_MAX_DIM || ag->t < 1 || ag->t > FP_MAX_DIM
@@ -420,26 +433,26 @@ bind_agent(const Window *win, SlotAgent *ag, PyObject *add)
         || PyArray_DIM(rg, 0) != win->S || PyArray_DIM(rg, 1) != ag->P
         || PyArray_DIM((PyArrayObject *)cols, 0) != ag->t
         || PyArray_DIM((PyArrayObject *)E, 0) != ag->t
-        || PyArray_DIM((PyArrayObject *)add, 0) != ag->P
-        || PyArray_DIM((PyArrayObject *)add, 1) != ag->t
-        || !PyList_Check(ag->vcache)
-        || PyList_GET_SIZE(ag->vcache) != win->S + 1) {
+        || PyArray_DIM((PyArrayObject *)w, 0) != ag->t
+        || PyArray_DIM(blocks, 0) != win->W
+        || PyArray_DIM(blocks, 1) != ag->P
+        || PyArray_DIM(blocks, 2) != ag->t) {
         PyErr_SetString(PyExc_ValueError,
                         "negotiate_slot: charger binding shapes do not agree");
         return -1;
     }
     ag->cols = (const npy_intp *)PyArray_DATA((PyArrayObject *)cols);
     ag->E = (const double *)PyArray_DATA((PyArrayObject *)E);
-    ag->add = (const double *)PyArray_DATA((PyArrayObject *)add);
+    ag->w = (const double *)PyArray_DATA((PyArrayObject *)w);
+    ag->add = (const double *)PyArray_DATA(blocks) + q * ag->P * ag->t;
     ag->tens = (double *)PyArray_DATA(tens);
     ag->rg = (double *)PyArray_DATA(rg);
     ag->colmask = win->colmask + ag->id * win->m;
     return 0;
 }
 
-/* Start colour ``c``: match rows from the colour draws, fresh caches, and
- * the ``tens[:R]``/``rg[:R]`` views from the window's per-R cache. */
-static int
+/* Start colour ``c``: match rows from the colour draws, fresh caches. */
+static void
 start_negotiation(const Window *win, SlotAgent *ag, npy_int64 c)
 {
     const npy_intp S = win->S, G = win->G;
@@ -455,38 +468,38 @@ start_negotiation(const Window *win, SlotAgent *ag, npy_int64 c)
     ag->R = R;
     ag->valid = ag->bound = ag->standing = 0;
     ag->undecided = 1;
-    ag->tens_v = ag->rg_v = NULL;
-    if (R == 0) {
-        return 0;
-    }
-    PyObject *pair = PyList_GET_ITEM(ag->vcache, R);
-    if (pair == Py_None) {
-        PyObject *tv = PySequence_GetSlice(ag->tens_arr, 0, R);
-        PyObject *rv = tv ? PySequence_GetSlice(ag->rg_arr, 0, R) : NULL;
-        pair = rv ? PyTuple_Pack(2, tv, rv) : NULL;
-        Py_XDECREF(tv);
-        Py_XDECREF(rv);
-        if (pair == NULL) {
-            return -1;
-        }
-        PyList_SetItem(ag->vcache, R, pair); /* steals the reference */
-    }
-    ag->tens_v = PyTuple_GET_ITEM(pair, 0);
-    ag->rg_v = PyTuple_GET_ITEM(pair, 1);
-    return 0;
+}
+
+/* ``rg[:R] = tens[:R] @ w`` through np.matmul's float64 loop, with the
+ * dimensions and steps NumPy passes for it: R outer iterations of a
+ * (P, t) @ (t,) product whose missing ``m`` dimension has size 1 and
+ * stride 0. */
+static void
+weighted_sums(const SlotAgent *ag)
+{
+    const npy_intp d = sizeof(double), P = ag->P, t = ag->t;
+    char *args[3] = {(char *)ag->tens, (char *)ag->w, (char *)ag->rg};
+    const npy_intp dims[4] = {ag->R, P, t, 1};
+    const npy_intp steps[9] = {
+        P * t * d, 0, P * d, /* outer: tens, w, rg */
+        t * d, d,            /* tens (n, k) */
+        d, 0,                /* w (k, m) */
+        d, 0,                /* rg (n, m) */
+    };
+    matmul_dd(args, dims, steps, matmul_dd_data);
 }
 
 /* The agent's best (gain, policy): refresh the rows commits wrote (all
- * rows on the first call of a negotiation), the task sum through
- * np.matmul, then finish.  Policy 0 is idle (IDLE_POLICY). */
-static int
+ * rows on the first call of a negotiation), the task sum, then finish.
+ * Policy 0 is idle (IDLE_POLICY). */
+static void
 evaluate(const Window *win, SlotAgent *ag)
 {
     ag->valid = 1;
     if (ag->R == 0) {
         ag->gain = 0.0;
         ag->policy = 0;
-        return 0;
+        return;
     }
     const npy_intp P = ag->P, t = ag->t, m = win->m;
     const double *view = win->views + ag->id * win->S * m;
@@ -499,12 +512,7 @@ evaluate(const Window *win, SlotAgent *ag)
         }
     }
     ag->bound = 1;
-    PyObject *margs[3] = {ag->tens_v, ag->w, ag->rg_v};
-    PyObject *out = PyObject_Vectorcall(win->matmul, margs, 2, win->kwnames);
-    if (out == NULL) {
-        return -1;
-    }
-    Py_DECREF(out);
+    weighted_sums(ag);
     npy_intp best;
     double best_v;
     finish_rows(ag->rg, ag->R, P, (double)win->S, &best, &best_v);
@@ -515,7 +523,6 @@ evaluate(const Window *win, SlotAgent *ag)
         ag->gain = best_v;
         ag->policy = best;
     }
-    return 0;
 }
 
 /* ``recv`` learns of ``w``'s commit of the energy ``vals``: its cached
@@ -602,9 +609,7 @@ negotiate_color(Slot *sl, npy_intp c)
      * broadcast in the synchronous model. */
     npy_intp deg_u = 0;
     for (npy_intp a = 0; a < A; a++) {
-        if (start_negotiation(win, &ags[a], c) < 0) {
-            return -1;
-        }
+        start_negotiation(win, &ags[a], c);
         deg_u += degree(win, ags[a].id);
     }
     for (npy_intp rnd = 1; undecided > 0; rnd++) {
@@ -619,9 +624,7 @@ negotiate_color(Slot *sl, npy_intp c)
                 sl->hits++;
             } else {
                 sl->evals++;
-                if (evaluate(win, ag) < 0) {
-                    return -1;
-                }
+                evaluate(win, ag);
             }
             ag->standing = ag->gain > MIN_GAIN;
         }
@@ -714,32 +717,37 @@ static PyObject *
 fastpath_negotiate_slot(PyObject *self, PyObject *const *args,
                         Py_ssize_t nargs)
 {
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError, "negotiate_slot expects 7 arguments");
+    if (nargs != 6) {
+        PyErr_SetString(PyExc_TypeError, "negotiate_slot expects 6 arguments");
         return NULL;
     }
     Window win;
     if (parse_window(args[0], &win) < 0) {
         return NULL;
     }
-    Slot sl = {.win = &win, .table = args[5], .commit_rounds = args[6]};
-    sl.k = PyLong_AsSsize_t(args[1]);
-    if (sl.k == -1 && PyErr_Occurred()) {
+    Slot sl = {.win = &win, .table = args[4], .commit_rounds = args[5]};
+    const npy_intp q = PyLong_AsSsize_t(args[1]);
+    if (q == -1 && PyErr_Occurred()) {
         return NULL;
     }
-    PyObject *active = args[2], *groups = args[3], *adds = args[4];
-    if (!PyList_Check(active) || !PyList_Check(groups) || !PyList_Check(adds)
+    if (q < 0 || q >= win.W) {
+        PyErr_SetString(PyExc_IndexError,
+                        "negotiate_slot: window slot out of range");
+        return NULL;
+    }
+    sl.k = win.slots[q];
+    PyObject *active = args[2], *groups = args[3];
+    if (!PyList_Check(active) || !PyList_Check(groups)
         || !PyDict_Check(sl.table) || !PyList_Check(sl.commit_rounds)) {
         PyErr_SetString(PyExc_TypeError,
-                        "negotiate_slot: active, groups, adds and "
-                        "commit_rounds must be lists and table a dict");
+                        "negotiate_slot: active, groups and commit_rounds "
+                        "must be lists and table a dict");
         return NULL;
     }
     const npy_intp A = sl.A = PyList_GET_SIZE(active);
-    if (PyList_GET_SIZE(groups) != A || PyList_GET_SIZE(adds) != A) {
+    if (PyList_GET_SIZE(groups) != A) {
         PyErr_SetString(PyExc_ValueError,
-                        "negotiate_slot: active, groups and adds differ in "
-                        "length");
+                        "negotiate_slot: active and groups differ in length");
         return NULL;
     }
     const npy_intp n = win.n, S = win.S;
@@ -782,7 +790,7 @@ fastpath_negotiate_slot(PyObject *self, PyObject *const *args,
         ag->rows = rows_ws + a * S;
         ag->inrow = masks + a * 2 * S;
         ag->dirty = ag->inrow + S;
-        if (bind_agent(&win, ag, PyList_GET_ITEM(adds, a)) < 0) {
+        if (bind_agent(&win, ag, q) < 0) {
             goto done;
         }
     }
@@ -817,9 +825,45 @@ static struct PyModuleDef fastpath_module = {
     fastpath_methods,
 };
 
+/* Bind np.matmul's float64 loop ("dd->d") from the ufunc's public type
+ * table; ImportError if there is none. */
+static int
+bind_matmul(void)
+{
+    PyObject *numpy = PyImport_ImportModule("numpy");
+    PyObject *matmul = numpy ? PyObject_GetAttrString(numpy, "matmul") : NULL;
+    Py_XDECREF(numpy);
+    if (matmul == NULL) {
+        return -1;
+    }
+    if (PyObject_TypeCheck(matmul, &PyUFunc_Type)) {
+        const PyUFuncObject *uf = (const PyUFuncObject *)matmul;
+        for (int i = 0; i < uf->ntypes && matmul_dd == NULL; i++) {
+            const char *types = uf->types + i * uf->nargs;
+            if (uf->nargs == 3 && types[0] == NPY_DOUBLE
+                && types[1] == NPY_DOUBLE && types[2] == NPY_DOUBLE) {
+                matmul_dd = uf->functions[i];
+                matmul_dd_data = uf->data[i];
+            }
+        }
+    }
+    if (matmul_dd == NULL) {
+        Py_DECREF(matmul);
+        PyErr_SetString(PyExc_ImportError,
+                        "numpy.matmul has no float64 (dd->d) loop");
+        return -1;
+    }
+    /* The ufunc owns the loop: its reference is kept for good. */
+    return 0;
+}
+
 PyMODINIT_FUNC
 PyInit__fastpath(void)
 {
     import_array();
+    import_umath();
+    if (bind_matmul() < 0) {
+        return NULL;
+    }
     return PyModule_Create(&fastpath_module);
 }

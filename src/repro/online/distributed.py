@@ -320,9 +320,39 @@ def _row_bitmasks(sampler: ColorSampler) -> list[list[int]]:
     return out
 
 
+def _window_partitions(
+    network: ChargerNetwork, objective: HasteObjective, slots: list[int]
+) -> tuple[list[int], list[tuple[int, int]], list[tuple[list[int], list[int]]]]:
+    """The partitions a window negotiates, from one relevance array.
+
+    A charger negotiates slot ``k`` when one of its receivable tasks is
+    active at ``k`` under the objective's (masked) activity; such a
+    charger always has a policy besides idle, one aimed at that task.
+    Charger ``i``'s receivable tasks are its columns, so row ``i`` of
+    ``receivable @ active[:, slots]`` is
+    ``_active_sub[i][:, slots].any(axis=0)``: one array for every charger
+    and window slot.  Returns the participants (chargers relevant at some
+    window slot, ascending), the colour-draw group keys ``(charger,
+    slot)`` in slot-major order, and per window slot its active chargers
+    in ascending order with their group indices.  The keys are
+    slot-major, so each slot's groups are consecutive.
+    """
+    relevant = network.receivable @ objective.active[:, slots]
+    slot_pos, chargers = np.nonzero(relevant.T)
+    chargers = chargers.tolist()
+    part_keys = list(zip(chargers, np.asarray(slots)[slot_pos].tolist()))
+    bounds = np.cumsum(relevant.sum(axis=0)).tolist()
+    by_slot = [
+        (chargers[a:b], list(range(a, b))) for a, b in zip([0, *bounds], bounds)
+    ]
+    participants = np.flatnonzero(relevant.any(axis=1)).tolist()
+    return participants, part_keys, by_slot
+
+
 def _slot_window(
     network: ChargerNetwork,
     objective: HasteObjective,
+    slots: list[int],
     participants: list[int],
     sampler: ColorSampler,
     views: np.ndarray,
@@ -334,18 +364,19 @@ def _slot_window(
     linear-bounded one, or more policies or receivable tasks than the
     kernel's fixed capacity (``FP_MAX_DIM``).  Each participant binds its
     receivable columns, required energies, column weights, reusable
-    ``(S, P_i, |T_i|)`` / ``(S, P_i)`` scratch buffers and a list the
-    kernel fills with their ``[:R]`` views by row count ``R``.  The window
-    adds the views, the color draws, the neighbor sets as CSR arrays, every
-    charger's receivable-column mask, and ``np.matmul``, which the kernel
-    calls for the task-weighted sum with the operands
-    :meth:`ChargerAgent.best_candidate` passes, so BLAS rounds it the same
-    way.  The tuple layout is ``negotiate_slot``'s, documented in
-    ``_fastpath.c``.
+    ``(S, P_i, |T_i|)`` / ``(S, P_i)`` scratch buffers and its slot-energy
+    blocks for the whole window, ``(|slots|, P_i, |T_i|)``: one multiply of
+    its policy energies by the masked activity, the same float × bool
+    product per element as :meth:`HasteObjective.added_energy_cols`, so
+    each block is that method's bytes.  The window adds the views, the
+    color draws, its slots, the neighbor sets as CSR arrays and every
+    charger's receivable-column mask.  The tuple layout is
+    ``negotiate_slot``'s, documented in ``_fastpath.c``.
     """
     if _C is None:
         return None
     S = sampler.num_samples
+    slots = np.asarray(slots, dtype=np.intp)
     agents: list[tuple | None] = [None] * network.n
     colmask = np.zeros((network.n, network.m), dtype=np.uint8)
     for i in participants:
@@ -359,13 +390,19 @@ def _slot_window(
             or not 0 < t <= _ckernel.FP_MAX_DIM
         ):
             return None
+        blocks = np.empty((slots.size, P, t))
+        np.multiply(
+            objective._sparse_energy[i],
+            objective._active_sub[i][:, slots].T[:, None, :],
+            out=blocks,
+        )
         agents[i] = (
             np.ascontiguousarray(cols),
             np.ascontiguousarray(E),
             np.ascontiguousarray(objective._w_cols[i]),
             np.empty((S, P, t)),
             np.empty((S, P)),
-            [None] * (S + 1),
+            blocks,
         )
         colmask[i, cols] = 1
     nbrs = [sorted(nb) for nb in network.neighbors]
@@ -374,8 +411,8 @@ def _slot_window(
     nbr_idx = np.array([j for nb in nbrs for j in nb], dtype=np.intp)
     colors = np.ascontiguousarray(sampler.colors, dtype=np.int64)
     return (
-        views, colors, sampler.num_colors, agents, nbr_ptr, nbr_idx, colmask,
-        np.matmul, ("out",),
+        views, colors, sampler.num_colors, slots, agents, nbr_ptr, nbr_idx,
+        colmask,
     )
 
 
@@ -576,20 +613,10 @@ def _negotiate_window(
         raise ValueError(f"async_dropout must be in [0, 1), got {async_dropout}")
     if async_dropout > 0.0 and async_rng is None:
         raise ValueError("async_dropout > 0 requires async_rng")
-    participants = [
-        i
-        for i in range(network.n)
-        if network.policy_count(i) > 1 and objective.relevant_slots(i).size > 0
-    ]
-    relevant = {
-        i: set(int(k) for k in objective.relevant_slots(i)) for i in participants
-    }
-    part_keys = [
-        (i, int(k)) for k in slots for i in participants if int(k) in relevant[i]
-    ]
+    slots = [int(k) for k in slots]
+    participants, part_keys, by_slot = _window_partitions(network, objective, slots)
     sampler = ColorSampler(part_keys, num_colors, num_samples, rng)
     S = sampler.num_samples
-    group_index = {key: g for g, key in enumerate(part_keys)}
 
     # Per-agent energy views, stacked into one (n, S, m) array so a commit
     # can be folded into all its receivers' views with a single batched
@@ -619,26 +646,16 @@ def _negotiate_window(
     prop_hits = 0
 
     window = (
-        _slot_window(network, objective, participants, sampler, views)
+        _slot_window(network, objective, slots, participants, sampler, views)
         if sync
         else None
     )
     if window is not None:
-        for k in slots:
-            k = int(k)
-            active = [i for i in participants if k in relevant[i]]
+        for q, (active, groups) in enumerate(by_slot):
             if not active:
                 continue
             messages, broadcasts, rounds, negotiations, evals, hits = (
-                _C.negotiate_slot(
-                    window,
-                    k,
-                    active,
-                    [group_index[(i, k)] for i in active],
-                    [objective.added_energy_cols(i, k) for i in active],
-                    table,
-                    commit_rounds,
-                )
+                _C.negotiate_slot(window, q, active, groups, table, commit_rounds)
             )
             stats.messages += messages
             stats.broadcasts += broadcasts
@@ -670,12 +687,10 @@ def _negotiate_window(
     neighbors = network.neighbors
     degree = [len(nbrs) for nbrs in neighbors]
 
-    for k in slots:
-        k = int(k)
-        active_agents = [i for i in participants if k in relevant[i]]
+    for k, (active_agents, groups) in zip(slots, by_slot):
         if not active_agents:
             continue
-        gidx = [(i, group_index[(i, k)]) for i in active_agents]
+        gidx = list(zip(active_agents, groups))
         deg_active = sum(degree[i] for i in active_agents)
         adds_k = {i: objective.added_energy_cols(i, k) for i in active_agents}
         for c in range(num_colors):
@@ -893,20 +908,10 @@ def _negotiate_window_faulty(
     bit for bit from a recorded :class:`~repro.faults.model.FaultTrace`.
     """
     model = injector.model
-    participants = [
-        i
-        for i in range(network.n)
-        if network.policy_count(i) > 1 and objective.relevant_slots(i).size > 0
-    ]
-    relevant = {
-        i: set(int(k) for k in objective.relevant_slots(i)) for i in participants
-    }
-    part_keys = [
-        (i, int(k)) for k in slots for i in participants if int(k) in relevant[i]
-    ]
+    slots = [int(k) for k in slots]
+    participants, part_keys, by_slot = _window_partitions(network, objective, slots)
     sampler = ColorSampler(part_keys, num_colors, num_samples, rng)
     S = sampler.num_samples
-    group_index = {key: g for g, key in enumerate(part_keys)}
     all_matches = sampler.matches_by_color()
     row_lists = [
         [[int(r) for r in rows] for rows in per_color]
@@ -944,13 +949,11 @@ def _negotiate_window_faulty(
         """Apply ``w``'s committed energy to one receiver's view."""
         views[receiver][rows_w[:, None], cols[w][None, :]] += adds_k[w][policy]
 
-    for k in slots:
-        k = int(k)
-        active_agents = [i for i in participants if k in relevant[i]]
+    for k, (active_agents, groups) in zip(slots, by_slot):
         if not active_agents:
             continue
         active_set = set(active_agents)
-        gidx = [(i, group_index[(i, k)]) for i in active_agents]
+        gidx = list(zip(active_agents, groups))
         adds_k = {i: objective.added_energy_cols(i, k) for i in active_agents}
         for c in range(num_colors):
             stats.negotiations += 1

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..core.network import ChargerNetwork
+from ..core.network import IDLE_POLICY, ChargerNetwork
 from ..core.policy import Schedule
 from ..faults.bus import FaultStats
 from ..faults.model import FaultModel
@@ -189,34 +189,31 @@ def run_online_haste(
 
                 # Sample final colors; keep the best of ``final_draws``
                 # vectors under the known-task objective.
-                best_sched: Schedule | None = None
-                best_value = -np.inf
                 draws = final_draws if num_colors > 1 else 1
                 chargers, part_slots, policies = result.partition_policies()
                 parts = np.arange(len(chargers))
                 with obs.span("online.draw_and_smooth"):
-                    for _ in range(draws):
-                        candidate = committed.copy()
-                        candidate.clear_from(boundary)
+                    sels = np.repeat(committed.sel[None], draws, axis=0)
+                    sels[:, :, boundary:] = IDLE_POLICY
+                    for sel in sels:
                         # One batched draw per vector: the generator yields
                         # the values, and ends in the state, of one scalar
                         # draw per partition in sorted order.
                         colors = rng.integers(0, num_colors, size=len(parts))
-                        candidate.sel[chargers, part_slots] = policies[parts, colors]
-                        value = objective.value_of_schedule(candidate)
-                        if value > best_value:
-                            best_sched, best_value = candidate, value
-                    if best_sched is not None:
-                        # Delay-aware switch smoothing of the freshly
-                        # planned future, seeing only the already-released
-                        # tasks (no clairvoyance).
-                        committed = smooth_switches(
-                            network,
-                            best_sched,
-                            rho=rho,
-                            task_mask=known,
-                            start_slot=boundary,
-                        )
+                        sel[chargers, part_slots] = policies[parts, colors]
+                    values = objective.values_of_selections(sels)
+                    best_sched = committed.copy()
+                    best_sched.sel[:] = sels[int(np.argmax(values))]
+                    # Delay-aware switch smoothing of the freshly planned
+                    # future, seeing only the already-released tasks (no
+                    # clairvoyance).
+                    committed = smooth_switches(
+                        network,
+                        best_sched,
+                        rho=rho,
+                        task_mask=known,
+                        start_slot=boundary,
+                    )
 
         execution = execute_schedule(network, committed, rho=rho)
     if obs.enabled():

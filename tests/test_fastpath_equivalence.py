@@ -19,7 +19,8 @@ import sys
 import numpy as np
 import pytest
 
-from repro.core import ChargerNetwork, LinearBoundedUtility
+from repro.core import Charger, ChargerNetwork, ChargingTask, LinearBoundedUtility
+from repro.core.network import IDLE_POLICY
 from repro.core.policy import network_fingerprint
 from repro.core.utility import LogUtility, PowerLawUtility
 from repro.objective import HasteObjective
@@ -33,6 +34,7 @@ from repro.online import run_online_haste
 from repro.sim import SimulationConfig, sample_network
 from repro.sim.engine import ExecutionResult, execute_schedule, orientation_trace
 from repro.solvers import Instance, solve_instance
+from repro.submodular.estimation import ColorSampler
 
 from oracles import DenseObjective
 from oracles import engine as ref_engine
@@ -479,6 +481,48 @@ class _SlotKernelSpy:
         return getattr(self._kernel, name)
 
 
+def _edge_network(shape: str) -> tuple[ChargerNetwork, list[int]]:
+    """A default-scale network plus chargers placed past its field that
+    reach one of the slot kernel's edge shapes; returns the network and the
+    added chargers.
+
+    ``"one-task"``: two neighbouring chargers whose only receivable task is
+    the same one (``t = 1``, where NumPy's matmul takes its non-BLAS
+    branch).  ``"wide"``: two chargers over a cluster of 110 tasks they
+    both receive.  ``"one-colour"``: the network as sampled.
+    """
+    base = make_net(7, SimulationConfig())
+    n, m, K = base.n, base.m, base.num_slots
+    x0 = 4 * SimulationConfig().field_size  # out of every base charger's reach
+    rng = np.random.default_rng(5)
+    chargers, tasks = [], []
+    if shape == "one-task":
+        chargers = [
+            Charger(n, x0, 0.0, radius=5.0), Charger(n + 1, x0 + 2, 0.0, radius=5.0)
+        ]
+        tasks = [
+            ChargingTask(m, x0 + 1, 1.0, 0.0, 0, K, 30_000.0, 2 * np.pi, 1 / m)
+        ]
+    elif shape == "wide":
+        chargers = [
+            Charger(n, x0 - 1, 0.0, radius=15.0),
+            Charger(n + 1, x0 + 1, 0.0, radius=15.0),
+        ]
+        for j in range(110):
+            r, phi = 8.0 * np.sqrt(rng.uniform()), rng.uniform(0.0, 2 * np.pi)
+            release = int(rng.integers(0, K - 20))
+            tasks.append(ChargingTask(
+                m + j, x0 + r * np.cos(phi), r * np.sin(phi), 0.0, release,
+                release + int(rng.integers(5, 20)), float(rng.uniform(5e3, 2e4)),
+                2 * np.pi, 1 / m,
+            ))
+    net = ChargerNetwork(
+        list(base.chargers) + chargers, list(base.tasks) + tasks,
+        power_model=base.power_model, slot_seconds=base.slot_seconds,
+    )
+    return net, [c.id for c in chargers]
+
+
 def _assert_windows_match(a, b) -> None:
     assert a.table == b.table
     assert a.commit_trace == b.commit_trace
@@ -610,6 +654,38 @@ class TestCKernelProtocolEquivalence:
         monkeypatch.setattr(distributed, "_C", None)
         _assert_windows_match(opt, window())
 
+    @pytest.mark.parametrize("shape", ["one-task", "one-colour", "wide"])
+    def test_edge_shapes_identical_without_c(self, shape, monkeypatch):
+        """Shapes the benchmark scale never reaches: one receivable task,
+        one colour (``S = 1``, so ``R = S``) and over a hundred receivable
+        tasks; each added charger wins at least one negotiation."""
+        from repro.online import distributed
+        from repro.online.distributed import negotiate_window
+
+        net, added = _edge_network(shape)
+        receivable = {net.policy_tasks[i].size for i in added}
+        if shape == "one-task":
+            assert receivable == {1}
+        elif shape == "wide":
+            assert min(receivable) >= 100
+        num_colors = 1 if shape == "one-colour" else 4
+        banked = np.random.default_rng(3).uniform(0.0, 2000.0, net.m)
+
+        def window():
+            return negotiate_window(
+                net, HasteObjective(net), list(range(net.num_slots)), num_colors,
+                rng=np.random.default_rng(11), initial_energies=banked,
+            )
+
+        spy = _SlotKernelSpy(distributed._C)
+        monkeypatch.setattr(distributed, "_C", spy)
+        opt = window()
+        assert spy.slot_calls > 0
+        assert set(added) <= {i for i, _k, _c in opt.table}
+        assert opt.sampler.num_samples == (1 if num_colors == 1 else 24)
+        monkeypatch.setattr(distributed, "_C", None)
+        _assert_windows_match(opt, window())
+
     def test_more_samples_than_a_word_identical_without_c(self, monkeypatch):
         """80 samples: row sets wider than 64 bits stay on the compiled path."""
         from repro.online import distributed
@@ -629,3 +705,112 @@ class TestCKernelProtocolEquivalence:
         assert spy.slot_calls > 0 and opt.table
         monkeypatch.setattr(distributed, "_C", None)
         _assert_windows_match(opt, window())
+
+
+def _window_objectives(net) -> list:
+    """A knowledge-masked objective, as each arrival plans on, and one on
+    τ-delayed activity (``HasteObjective(active=…)``), with the boundary."""
+    boundary = int(np.median(net.release_slots))
+    slots = np.arange(net.num_slots)
+    delayed = net.active & (net.release_slots[:, None] + 2 <= slots)
+    return [
+        (HasteObjective(net).masked_view(net.release_slots <= boundary), boundary),
+        (HasteObjective(net, active=delayed), boundary),
+    ]
+
+
+@pytest.mark.parametrize("config", [SimulationConfig.quick(), SimulationConfig()])
+class TestWindowSetup:
+    """The window's partitions and its compiled bindings, built in bulk."""
+
+    def test_partitions_match_relevant_slots(self, config):
+        from repro.online import distributed
+
+        net = make_net(19, config)
+        for objective, boundary in _window_objectives(net):
+            slots = list(range(boundary, net.num_slots))
+            participants, part_keys, by_slot = distributed._window_partitions(
+                net, objective, slots
+            )
+            expected = [
+                [
+                    i for i in range(net.n)
+                    if net.policy_count(i) > 1 and k in objective.relevant_slots(i)
+                ]
+                for k in slots
+            ]
+            assert [active for active, _groups in by_slot] == expected
+            keys = [(i, k) for k, active in zip(slots, expected) for i in active]
+            assert part_keys == keys
+            assert [g for _active, groups in by_slot for g in groups] == list(
+                range(len(keys))
+            )
+            assert participants == sorted({i for i, _k in keys})
+
+    @needs_ckernel
+    def test_blocks_equal_added_energy_cols(self, config):
+        """Every participant's bound block row is ``added_energy_cols``'s
+        bytes at every window slot; chargers outside the window get no
+        binding."""
+        from repro.online import distributed
+
+        net = make_net(19, config)
+        for objective, boundary in _window_objectives(net):
+            slots = list(range(boundary, net.num_slots))
+            participants, part_keys, _ = distributed._window_partitions(
+                net, objective, slots
+            )
+            sampler = ColorSampler(part_keys, 4, 24, np.random.default_rng(0))
+            views = objective.zero_energy((net.n, sampler.num_samples))
+            window = distributed._slot_window(
+                net, objective, slots, participants, sampler, views
+            )
+            bindings = window[4]
+            assert participants
+            for i in range(net.n):
+                if i not in participants:
+                    assert bindings[i] is None
+                    continue
+                blocks = bindings[i][5]
+                assert blocks.flags.c_contiguous
+                for q, k in enumerate(slots):
+                    assert (
+                        blocks[q].tobytes()
+                        == objective.added_energy_cols(i, k).tobytes()
+                    )
+
+
+class TestStackedDrawScorer:
+    """``values_of_selections`` equals ``value_of_schedule`` per candidate."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("last_slot", [False, True])
+    def test_equals_value_of_schedule(self, seed, last_slot):
+        net = make_net(seed)
+        K = net.num_slots
+        boundary = K - 1 if last_slot else int(np.median(net.release_slots)) + 1
+        committed = (
+            CentralizedScheduler(net).run(4, rng=np.random.default_rng(seed)).schedule
+        )
+        rng = np.random.default_rng(seed)
+        counts = np.array([net.policy_count(i) for i in range(net.n)])
+        sels = np.repeat(committed.sel[None], 5, axis=0)
+        future = rng.integers(0, counts[None, :, None], size=(5, net.n, K - boundary))
+        # Candidates differ in which slots are idle.
+        future[rng.uniform(size=future.shape) < 0.4] = IDLE_POLICY
+        sels[:, :, boundary:] = future
+        busy = np.flatnonzero(counts > 1)
+        # One charger idle in every candidate at a slot the others use, one
+        # idle in every candidate over the whole future.
+        sels[:, busy[0], boundary] = IDLE_POLICY
+        sels[:, busy[1], boundary:] = IDLE_POLICY
+        assert sels[:, busy[2:], boundary].any()
+        assert len({(sel == IDLE_POLICY).tobytes() for sel in sels}) > 1
+        known = net.release_slots < boundary
+        for objective in (HasteObjective(net), HasteObjective(net).masked_view(known)):
+            values = objective.values_of_selections(sels)
+            assert len(values) == len(sels)
+            for sel, value in zip(sels, values):
+                candidate = committed.copy()
+                candidate.sel[:] = sel
+                assert value.hex() == objective.value_of_schedule(candidate).hex()
