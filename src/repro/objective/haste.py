@@ -63,6 +63,10 @@ from ..submodular.functions import SetFunction
 
 __all__ = ["BatchedCharger", "HasteObjective", "HasteSetFunction"]
 
+#: Marginal gains at or below this count as zero: a partition stays idle,
+#: a negotiating charger withdraws (``_fastpath.c`` defines the same value).
+MIN_GAIN: float = 1e-12
+
 
 class HasteObjective:
     """Incremental evaluator of the HASTE-R objective on a network.
@@ -333,9 +337,18 @@ class HasteObjective:
         """HASTE-R objective value of a schedule (switching delay ignored)."""
         return float(self.value(self.energies_of_schedule(schedule)))
 
-    def values_of_selections(self, sels: np.ndarray) -> list[float]:
-        """:meth:`value_of_schedule` of ``D`` selection matrices ``(D, n, K)``."""
-        return [float(self.value(row)) for row in self._energies_of_selections(sels)]
+    def values_of_selections(
+        self, sels: np.ndarray, banked: np.ndarray | None = None
+    ) -> list[float]:
+        """:meth:`value_of_schedule` of ``D`` selection matrices ``(D, n, K)``.
+
+        ``banked`` ``(m,)`` energy from outside the selections, if given,
+        is added to each candidate's energies before it is valued.
+        """
+        energies = self._energies_of_selections(sels)
+        if banked is not None:
+            energies += banked
+        return [float(self.value(row)) for row in energies]
 
     def _energies_of_selections(
         self, sels: np.ndarray, start: int = 0, stop: int | None = None

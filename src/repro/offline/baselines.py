@@ -21,11 +21,9 @@ import numpy as np
 from ..core.network import IDLE_POLICY, ChargerNetwork
 from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
-from ..objective.haste import HasteObjective
+from ..objective.haste import MIN_GAIN, HasteObjective
 
 __all__ = ["random_schedule", "static_orientation_schedule"]
-
-MIN_GAIN: float = 1e-12
 
 
 def random_schedule(

@@ -39,9 +39,8 @@ from .. import obs
 from ..core.network import IDLE_POLICY, ChargerNetwork
 from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
-from ..objective.haste import BatchedCharger, HasteObjective
+from ..objective.haste import MIN_GAIN, BatchedCharger, HasteObjective
 from ..sim.engine import ExecutionResult, execute_schedule
-from .baselines import MIN_GAIN
 
 __all__ = [
     "greedy_utility_schedule_batch",

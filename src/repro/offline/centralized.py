@@ -40,13 +40,10 @@ from .. import obs
 from ..core.network import IDLE_POLICY, ChargerNetwork
 from ..core.policy import Schedule
 from ..core.utility import UtilityFunction
-from ..objective.haste import HasteObjective
+from ..objective.haste import MIN_GAIN, HasteObjective
 from ..submodular.estimation import ColorSampler
 
 __all__ = ["OfflineResult", "CentralizedScheduler", "schedule_offline"]
-
-#: Marginal gains below this are treated as zero (stay idle).
-MIN_GAIN: float = 1e-12
 
 
 @dataclass
@@ -134,6 +131,8 @@ class CentralizedScheduler:
         """
         if num_colors < 1:
             raise ValueError(f"num_colors must be >= 1, got {num_colors}")
+        if final_draws < 1:
+            raise ValueError(f"final_draws must be >= 1, got {final_draws}")
         with obs.span("offline.run", colors=num_colors):
             result = self._run(
                 num_colors,
@@ -257,25 +256,12 @@ class CentralizedScheduler:
                     else:
                         objective.apply_rows(energies, rows, i, k, best_p)
 
-        if final_draws < 1:
-            raise ValueError(f"final_draws must be >= 1, got {final_draws}")
-        best_schedule: Schedule | None = None
-        best_value = -np.inf
         part_i, part_k = np.array(order, dtype=np.intp).reshape(-1, 2).T
-        part_g = np.arange(len(order))
         with obs.span("offline.final_draws"):
-            for _ in range(final_draws if num_colors > 1 else 1):
-                candidate = Schedule(self.network)
-                # One batched draw per vector — bit-identical to
-                # per-partition scalar draws (the generator consumes the
-                # same stream).
-                draws = rng.integers(0, num_colors, size=len(order))
-                candidate.sel[part_i, part_k] = chosen[part_g, draws]
-                value = objective.value_of_schedule(candidate)
-                if value > best_value:
-                    best_schedule, best_value = candidate, value
-        assert best_schedule is not None
-        schedule = best_schedule
+            schedule, best_value = best_of_draws(
+                objective, Schedule(self.network), part_i, part_k, chosen,
+                final_draws, rng,
+            )
 
         return OfflineResult(
             schedule=schedule,
@@ -286,6 +272,44 @@ class CentralizedScheduler:
             partitions=len(order),
             candidate_scans=scans,
         )
+
+
+def best_of_draws(
+    objective,
+    base: Schedule,
+    chargers: np.ndarray,
+    slots: np.ndarray,
+    policies: np.ndarray,
+    final_draws: int,
+    rng: np.random.Generator,
+    banked: np.ndarray | None = None,
+) -> tuple[Schedule, float]:
+    """TabularGreedy's sampling step: the best of ``final_draws`` colour draws.
+
+    ``policies`` is the ``(partition, colour)`` table of a colour sweep or
+    negotiation, partition ``g`` being ``(chargers[g], slots[g])``, idle
+    where a colour committed nothing.  Each draw takes one colour per
+    partition with one ``rng.integers`` call per vector — the values, and
+    the generator's end state, of one scalar draw per partition in order —
+    and writes the drawn policies over a copy of ``base``.  All candidates
+    are scored in one stacked pass (``objective.values_of_selections``,
+    with ``banked`` energy added to each when given); the first best wins.
+    With one colour there is nothing to draw between, so one vector is
+    drawn.  Returns the winning schedule and its value.  The offline
+    scheduler, the online runtime and the shard reconciliation all finish
+    this way.
+    """
+    draws = final_draws if policies.shape[1] > 1 else 1
+    parts = np.arange(len(chargers))
+    sels = np.repeat(base.sel[None], draws, axis=0)
+    for sel in sels:
+        colors = rng.integers(0, policies.shape[1], size=len(parts))
+        sel[chargers, slots] = policies[parts, colors]
+    values = objective.values_of_selections(sels, banked)
+    best = int(np.argmax(values))
+    schedule = base.copy()
+    schedule.sel[:] = sels[best]
+    return schedule, values[best]
 
 
 def schedule_offline(

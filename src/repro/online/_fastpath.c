@@ -82,7 +82,7 @@
  * instances larger than this (never hit by the paper's scales). */
 #define FP_MAX_DIM 512
 
-/* distributed.MIN_GAIN: proposals at or below it withdraw. */
+/* repro.objective.haste.MIN_GAIN: proposals at or below it withdraw. */
 #define MIN_GAIN 1e-12
 
 /* One row of the difference tensor: ``trow`` (P x t) from the energy row

@@ -26,18 +26,25 @@ The Monte Carlo color draws (``C > 1``) are *public pseudorandomness*: all
 agents derive the same ``(S, partitions)`` color table from a shared seed,
 which needs no communication — only the seed — so locality is preserved.
 
-Simulation note: radio delivery is accounted, not materialized.  Within a
-round, every receiver of an advertisement would read the sender's latest
-``(ΔF*, e*)`` — in the synchronous model because all views are current, in
-the asynchronous model because a sleeping sender's *last* advertisement
-stays standing with every neighbor.  A single shared table of standing
-advertisements therefore reproduces each agent's inbox-derived knowledge
-exactly (agents only ever consult entries of their own neighbors), while
-the :class:`~repro.online.messaging.MessageStats` accounting — one
+Simulation note: in the lossless protocol radio delivery is accounted, not
+materialized.  Within a round, every receiver of an advertisement would
+read the sender's latest ``(ΔF*, e*)`` — in the synchronous model because
+all views are current, in the asynchronous model because a sleeping
+sender's *last* advertisement stays standing with every neighbor.  A
+single shared table of standing advertisements therefore reproduces each
+agent's inbox-derived knowledge exactly (agents only ever consult entries
+of their own neighbors), while the
+:class:`~repro.online.messaging.MessageStats` accounting — one
 transmission plus ``|N(s_i)|`` deliveries per broadcast, the Fig. 16
-quantities — is unchanged.  Energy views are likewise per-agent but
-stacked in one array, so a commit's fold into every receiver's view is a
-single batched scatter-add — see :class:`ChargerAgent`.
+quantities — counts the deliveries that table stands for.  Only the
+fault-tolerant protocol sends messages, through a
+:class:`~repro.faults.bus.LossyMessageBus`.  Energy views are per-agent
+but stacked in one array, so a commit's fold into every receiver's view is
+a single batched scatter-add — see :class:`ChargerAgent`.
+
+A window is built once (:class:`_Window`) and run by one of three bodies:
+the compiled slot kernel, the lossless Python loop (the kernel's
+reference) or the fault-tolerant loop.
 """
 
 from __future__ import annotations
@@ -49,10 +56,10 @@ import numpy as np
 from .. import obs
 from ..core.network import IDLE_POLICY, ChargerNetwork
 from ..faults.bus import FaultStats, LossyMessageBus
-from ..objective.haste import HasteObjective
+from ..objective.haste import MIN_GAIN, HasteObjective
 from ..submodular.estimation import ColorSampler
 from . import _ckernel
-from .messaging import CMD_ACK, CMD_NULL, CMD_UPDATE, Message, MessageBus, MessageStats
+from .messaging import CMD_ACK, CMD_NULL, CMD_UPDATE, Message, MessageStats
 from .ordering import CommitEvent
 
 __all__ = [
@@ -70,7 +77,6 @@ class MatroidViolationError(RuntimeError):
     committing, no matter how divergent the views get — and the chaos
     suite asserts it never fires under any injected fault trace."""
 
-MIN_GAIN: float = 1e-12
 
 #: Compiled negotiation kernels (``_fastpath.c``), or ``None`` when no C
 #: compiler is available / ``REPRO_DISABLE_CKERNEL`` is set.  The pure
@@ -96,25 +102,23 @@ class ChargerAgent:
         index: int,
         objective: HasteObjective,
         num_samples: int,
-        energies: np.ndarray | None = None,
+        energies: np.ndarray,
     ) -> None:
+        if energies.shape != (num_samples, objective.network.m):
+            raise ValueError("energies has the wrong shape")
         self.index = index
         self.objective = objective
-        if energies is not None:
-            if energies.shape != (num_samples, objective.network.m):
-                raise ValueError("energies has the wrong shape")
-            self.energies = energies
-        else:
-            self.energies = objective.zero_energy((num_samples,))
+        self.num_samples = num_samples
+        self.energies = energies
+        self._slot = -1
         #: cached own proposal for the active negotiation; valid until a
         #: commit changes this agent's energy view.
         self._proposal: tuple[float, int] | None = None
         #: sample-row bitmask of the active negotiation's matching rows.
         self._match_bits: int = 0
-        #: the matching rows themselves, as plain ints for bit tests.
-        self._row_list: list[int] = []
+        #: the matching rows, as an index array and as plain ints.
         self._rows: np.ndarray | None = None
-        self._rows_col: np.ndarray | None = None
+        self._row_list: list[int] = []
         #: per-matching-row gain vectors ``(R, P_i)`` for the active
         #: negotiation; rows are recomputed selectively (the kernel is
         #: row-independent, so a partial refresh is bitwise identical).
@@ -122,73 +126,59 @@ class ChargerAgent:
         self._dirty_pos: set[int] = set()
         self._add: np.ndarray | None = None
         # Receivable-task bitmask — lets note_commit test column overlap
-        # with one integer AND.  The linear-bounded case also binds the
-        # kernel's inputs here so best_candidate can inline it.
+        # with one integer AND.
         bits = 0
         for t in objective._cols[index]:
             bits |= 1 << int(t)
         self._col_bits = bits
         util_E = objective._util_E[index]
-        self._fast = util_E is not None
+        cols = objective._cols[index]
+        num_policies = objective.network.policy_count(index)
         self._ck = None
-        if self._fast:
-            self._cols_i = np.ascontiguousarray(objective._cols[index])
+        if (
+            _C is not None
+            and util_E is not None
+            and cols.dtype == np.intp
+            and 2 <= num_policies <= _ckernel.FP_MAX_DIM
+            and 0 < cols.size <= _ckernel.FP_MAX_DIM
+        ):
+            # Compiled kernels for the linear-bounded utility: the
+            # gather/element-wise stage and the sum/argmax stage become one
+            # C call each; only the BLAS-ordered weighted sum stays in
+            # NumPy, keeping the result bit-identical to the NumPy branch.
+            # Buffers are allocated once at the window's full sample count
+            # and sliced per negotiation.
+            self._ck = _C
+            self._cols_i = np.ascontiguousarray(cols)
             self._E_i = np.ascontiguousarray(util_E)
             self._w_i = np.ascontiguousarray(objective._w_cols[index])
-            num_policies = objective.network.policy_count(index)
-            if (
-                _C is not None
-                and self._cols_i.dtype == np.intp
-                and 2 <= num_policies <= _ckernel.FP_MAX_DIM
-                and 0 < self._cols_i.size <= _ckernel.FP_MAX_DIM
-            ):
-                # Compiled kernels: the gather/element-wise stage and the
-                # sum/argmax stage become one C call each; only the
-                # BLAS-ordered weighted sum stays in NumPy, keeping the
-                # result bit-identical to the pure NumPy path.  Buffers
-                # are allocated once at the window's full sample count
-                # and sliced per negotiation.
-                self._ck = _C
-                t = self._cols_i.size
-                self._tens_full = np.empty((num_samples, num_policies, t))
-                self._rg_full = np.empty((num_samples, num_policies))
+            self._tens_full = np.empty((num_samples, num_policies, cols.size))
+            self._rg_full = np.empty((num_samples, num_policies))
 
     def reset_negotiation(
         self,
         slot: int,
         match_bits: int,
         match_rows: np.ndarray,
-        row_list: list[int] | None = None,
-        add: np.ndarray | None = None,
+        row_list: list[int],
+        add: np.ndarray,
     ) -> None:
-        """Start a fresh ``(slot, color)`` negotiation.
-
-        ``row_list`` and ``add`` let :func:`negotiate_window` pass its
-        window-level precomputations (the rows as plain ints, the agent's
-        per-slot added-energy block); both are derived locally when absent.
-        """
+        """Start a fresh ``(slot, color)`` negotiation over ``match_rows``
+        (also given as plain ints and as a bitmask), with ``add`` the
+        agent's ``(P_i, |T_i|)`` slot-energy block."""
+        self._slot = slot
         self._proposal = None
         self._match_bits = match_bits
         self._rows = match_rows
-        if row_list is not None:
-            self._row_list = row_list
-        else:
-            self._row_list = match_rows.tolist()
-        self._rows_col = None
+        self._row_list = row_list
         self._row_gains = None
         self._dirty_pos.clear()
-        if self._fast:
-            if add is not None:
-                self._add = add
-            else:
-                self._add = self.objective.added_energy_cols(self.index, slot)
+        self._add = add
 
-    def best_candidate(
-        self, slot: int, match_rows: np.ndarray, total_samples: int
-    ) -> tuple[float, int]:
-        """Best ``(ΔF, policy)`` for this agent's partition at ``slot``.
+    def best_candidate(self) -> tuple[float, int]:
+        """Best ``(ΔF, policy)`` for this agent's partition at the slot.
 
-        ``match_rows`` are the color-sample indices whose draw for the
+        The matching rows are the color-sample indices whose draw for the
         partition equals the color under negotiation; the expectation is
         normalized by the full sample count.  The result is cached between
         negotiation rounds: an agent's marginal only changes when a commit
@@ -202,82 +192,49 @@ class ChargerAgent:
             self._proposal = (0.0, IDLE_POLICY)
             return self._proposal
         rg = self._row_gains
+        dirty = None if rg is None else sorted(self._dirty_pos)
+        self._dirty_pos.clear()
         if self._ck is not None:
-            # Compiled path, bit-identical to the NumPy branch below: C
-            # refreshes the dirty rows of the difference tensor and later
-            # the column-sum/argmax; the weighted sum over tasks keeps
+            # C refreshes the dirty rows of the difference tensor and later
+            # takes the column-sum/argmax; the weighted sum over tasks keeps
             # NumPy's own matmul (its BLAS summation order is part of the
             # reference semantics — see _fastpath.c).
             n_rows = len(self._row_list)
             if rg is None:
                 rg = self._row_gains = self._rg_full[:n_rows]
-                dirty = None
-            else:
-                dirty = sorted(self._dirty_pos)
             tens = self._tens_full[:n_rows]
             self._ck.fill(
                 self.energies, tens, self._rows, dirty,
                 self._cols_i, self._add, self._E_i,
             )
             np.matmul(tens, self._w_i, out=rg)
-            best_p, best_v = self._ck.finish(rg, total_samples)
-            self._dirty_pos.clear()
-            if best_p == IDLE_POLICY or best_v <= MIN_GAIN:
-                self._proposal = (0.0, IDLE_POLICY)
-            else:
-                self._proposal = (best_v, best_p)
-            return self._proposal
-        if self._fast:
-            # Inlined sparse linear-bounded kernel — the exact ufunc
-            # sequence of HasteObjective._gains_cols, minus the per-call
-            # dispatch layers (this runs millions of times per online run).
-            E, add, w = self._E_i, self._add, self._w_i
-            rows_col = self._rows_col
-            if rows_col is None:
-                rows_col = self._rows_col = self._rows[:, None]
-            if rg is None:
-                cur = self.energies[rows_col, self._cols_i]
-                tens = cur[:, None, :]
-                rg = self._row_gains = (
-                    np.minimum((tens + add) / E, 1.0)
-                    - np.minimum(tens / E, 1.0)
-                ) @ w
-            elif self._dirty_pos:
-                # Refresh only the rows commits touched since the last
-                # compute; the kernel treats rows independently, so the
-                # patched array is bitwise equal to a fresh evaluation.
-                pos = sorted(self._dirty_pos)
-                cur = self.energies[rows_col[pos], self._cols_i]
-                tens = cur[:, None, :]
-                rg[pos] = (
-                    np.minimum((tens + add) / E, 1.0)
-                    - np.minimum(tens / E, 1.0)
-                ) @ w
+            best_p, best_v = self._ck.finish(rg, self.num_samples)
         else:
+            gains_rows = self.objective.partition_gains_rows
             if rg is None:
-                rg = self._row_gains = self.objective.partition_gains_rows(
-                    self.energies, match_rows, self.index, slot
+                rg = self._row_gains = gains_rows(
+                    self.energies, self._rows, self.index, self._slot
                 )
-            elif self._dirty_pos:
-                pos = sorted(self._dirty_pos)
-                rg[pos] = self.objective.partition_gains_rows(
-                    self.energies, match_rows[pos], self.index, slot
+            else:
+                # Only the rows commits touched since the last compute.
+                rg[dirty] = gains_rows(
+                    self.energies, self._rows[dirty], self.index, self._slot
                 )
-        self._dirty_pos.clear()
-        total = rg.sum(axis=0) / total_samples
-        best_p = int(total.argmax())
-        if best_p == IDLE_POLICY or total[best_p] <= MIN_GAIN:
+            total = rg.sum(axis=0) / self.num_samples
+            best_p = int(total.argmax())
+            best_v = float(total[best_p])
+        if best_p == IDLE_POLICY or best_v <= MIN_GAIN:
             self._proposal = (0.0, IDLE_POLICY)
         else:
-            self._proposal = (float(total[best_p]), best_p)
+            self._proposal = (best_v, best_p)
         return self._proposal
 
     def note_commit(self, sender_bits: int, changed_bits: int) -> None:
         """Maintain the caches after a neighbor's commit touched the view.
 
-        The energy fold itself happens once, in :func:`negotiate_window`
-        (see the class docstring); this method only decides whether the
-        cached proposal survives.  It depends on the ``(matching rows ×
+        The energy fold itself happens once, in :meth:`_Window.fold` (see
+        the class docstring); this method only decides whether the cached
+        proposal survives.  It depends on the ``(matching rows ×
         receivable tasks)`` block alone, so a commit whose touched block
         is provably disjoint — the sender's matching rows miss ours, or
         its changed tasks miss our receivable set — leaves the proposal
@@ -478,6 +435,149 @@ class NegotiationResult:
         return parts // span, parts % span, policies
 
 
+class _Window:
+    """One window's negotiation, built once whichever body runs it.
+
+    Holds the window's slots, its partitions (:func:`_window_partitions`),
+    the colour draws, the stacked ``(n, S, m)`` energy views and the
+    outcome every body writes: the commit table in commit order, the
+    commit rounds, the :class:`MessageStats` and the proposal counts.
+
+    The views are per-agent, stacked so a commit can be folded into all
+    its receivers' views with a single batched scatter-add: every receiver
+    gets the same addend at distinct index triples, bit-identical to
+    folding each inbox separately.  An agent that already decided a
+    negotiation misses its later commits, exactly as in the
+    message-passing protocol.
+
+    The two Python loops share the agent steps from :meth:`start_agents`
+    on: the per-(slot, colour) reset, the cached-or-fresh proposal, the
+    commit fold and the changed-task bitmask.  The compiled body uses none
+    of them.
+    """
+
+    def __init__(
+        self,
+        network: ChargerNetwork,
+        objective: HasteObjective,
+        slots: list[int],
+        num_colors: int,
+        num_samples: int,
+        rng: np.random.Generator,
+        initial_energies: np.ndarray | None,
+    ) -> None:
+        self.network = network
+        self.objective = objective
+        self.slots = [int(k) for k in slots]
+        self.participants, part_keys, self.by_slot = _window_partitions(
+            network, objective, self.slots
+        )
+        self.sampler = ColorSampler(part_keys, num_colors, num_samples, rng)
+        S = self.sampler.num_samples
+        if initial_energies is None:
+            self.views = objective.zero_energy((network.n, S))
+        else:
+            banked = (
+                initial_energies[None, None, :]
+                if initial_energies.ndim == 1
+                else initial_energies[None, :, :]
+            )
+            self.views = np.broadcast_to(banked, (network.n, S, network.m)).copy()
+        self.table: dict[tuple[int, int, int], int] = {}
+        self.commit_rounds: list[int] = []
+        self.stats = MessageStats()
+        self.proposal_evals = 0
+        self.proposal_cache_hits = 0
+
+    def result(self, fault_stats: FaultStats | None = None) -> NegotiationResult:
+        """The outcome as the caller sees it."""
+        return NegotiationResult(
+            table=self.table,
+            stats=self.stats,
+            sampler=self.sampler,
+            commit_rounds=self.commit_rounds,
+            proposal_evals=self.proposal_evals,
+            proposal_cache_hits=self.proposal_cache_hits,
+            fault_stats=fault_stats,
+        )
+
+    def start_agents(self) -> None:
+        """Build the participants' agents and the per-(colour, group)
+        matching rows as index arrays, plain-int lists and bitmasks."""
+        sampler = self.sampler
+        self._matches = sampler.matches_by_color()
+        self._row_lists = [
+            [rows.tolist() for rows in per_color] for per_color in self._matches
+        ]
+        self._row_bits = _row_bitmasks(sampler)
+        # The layout the compiled fold takes; a no-op for intp columns.
+        self._cols = [
+            np.ascontiguousarray(c, dtype=np.intp) for c in self.objective._cols
+        ]
+        # (charger, slot, policy) → int bitmask of the tasks the commit funds.
+        self._changed: dict[tuple[int, int, int], int] = {}
+        S = sampler.num_samples
+        self.agents = {
+            i: ChargerAgent(i, self.objective, S, self.views[i])
+            for i in self.participants
+        }
+
+    def start_slot(self, k: int, active: list[int]) -> None:
+        """Bind slot ``k``'s slot-energy blocks of its active agents."""
+        self._k = k
+        self._adds = {i: self.objective.added_energy_cols(i, k) for i in active}
+
+    def start_negotiation(self, c: int, active: list[int], groups: list[int]) -> None:
+        """Reset every active agent for colour ``c`` of the current slot."""
+        self.stats.negotiations += 1
+        rows_c, lists_c, bits_c = (
+            self._matches[c], self._row_lists[c], self._row_bits[c]
+        )
+        k, adds, agents = self._k, self._adds, self.agents
+        for i, g in zip(active, groups):
+            agents[i].reset_negotiation(k, bits_c[g], rows_c[g], lists_c[g], adds[i])
+
+    def propose(self, i: int) -> tuple[float, int]:
+        """Agent ``i``'s proposal, from its cache or freshly evaluated."""
+        agent = self.agents[i]
+        if agent._proposal is not None:
+            self.proposal_cache_hits += 1
+            return agent._proposal
+        self.proposal_evals += 1
+        return agent.best_candidate()
+
+    def fold(self, receivers: list[int], w: int, policy: int) -> None:
+        """Add ``w``'s committed policy to each receiver's view, on ``w``'s
+        matching rows and receivable columns."""
+        rows, cols = self.agents[w]._rows, self._cols[w]
+        vals = self._adds[w][policy]
+        if _C is not None:
+            _C.fold(self.views, receivers, rows, cols, vals)
+        else:
+            recv = np.asarray(receivers, dtype=np.intp)
+            self.views[
+                recv[:, None, None], rows[None, :, None], cols[None, None, :]
+            ] += vals
+
+    def changed_bits(self, w: int, policy: int) -> int:
+        """Bitmask of the tasks ``w``'s committed policy funds at this slot."""
+        key = (w, self._k, policy)
+        bits = self._changed.get(key)
+        if bits is None:
+            bits = 0
+            for t in self.objective.changed_tasks(w, self._k, policy):
+                bits |= 1 << int(t)
+            self._changed[key] = bits
+        return bits
+
+    def note_commit(self, receivers: list[int], w: int, policy: int) -> None:
+        """Let each receiver's caches see ``w``'s commit."""
+        sender_bits = self.agents[w]._match_bits
+        changed = self.changed_bits(w, policy)
+        for i in receivers:
+            self.agents[i].note_commit(sender_bits, changed)
+
+
 def negotiate_window(
     network: ChargerNetwork,
     objective: HasteObjective,
@@ -487,7 +587,6 @@ def negotiate_window(
     rng: np.random.Generator,
     num_samples: int = 24,
     initial_energies: np.ndarray | None = None,
-    bus: MessageBus | None = None,
     async_dropout: float = 0.0,
     async_rng: np.random.Generator | None = None,
     fault_injector=None,
@@ -512,70 +611,66 @@ def negotiate_window(
     the schedule is the caller's job (the runtime shares draws between
     events to keep unchanged partitions stable).
 
+    The window is built once and run by one of three bodies.  The
+    synchronous lossless protocol runs in the compiled slot kernel
+    (:func:`_negotiate_compiled`) when it is loaded and every participant
+    is on its path, else in the Python loop (:func:`_negotiate_lossless`),
+    its reference, which also runs the asynchronous model; both produce
+    the same table, commit trace, stats and proposal counts.  A
     ``fault_injector`` (a :class:`~repro.faults.model.FaultInjector`)
-    switches the window to the fault-tolerant protocol variant
-    (:func:`_negotiate_window_faulty`): advertisements and UPD commits are
+    switches the window to the fault-tolerant protocol
+    (:func:`_negotiate_faulty`): advertisements and UPD commits are
     materialized as per-receiver deliveries through a
     :class:`~repro.faults.bus.LossyMessageBus`, with stale-advertisement
     expiry, ack/retransmit for commits, and a per-negotiation round cap.
     An injector whose model :meth:`~repro.faults.model.FaultModel.is_null`
-    routes straight through the lossless path — a zero-fault model is
+    routes straight through the lossless protocol — a zero-fault model is
     byte-identical to not having a fault layer at all (pinned by the
     chaos suite).  The negotiation ``rng`` stream is consumed identically
-    on both paths (only the color sampler reads it); all fault
-    randomness lives in the injector's own seeded stream.
+    on every path (only the color sampler reads it); all fault randomness
+    lives in the injector's own seeded stream.
 
     When :mod:`repro.obs` is enabled the window is traced as a
-    ``negotiation.window`` span and the window's message/round/broadcast
-    deltas — exactly this window's contribution to the returned
-    :class:`~repro.online.messaging.MessageStats` — plus commit and
+    ``negotiation.window`` span and the window's
+    :class:`~repro.online.messaging.MessageStats`, commit and
     proposal-cache counts are folded into the registry once, after the
     protocol finishes (nothing is recorded inside the round loop).  An
     active fault injector additionally folds its ``faults.*`` deltas
     (drops, retransmits, expiries, …) the same way.
     """
+    if not (0.0 <= async_dropout < 1.0):
+        raise ValueError(f"async_dropout must be in [0, 1), got {async_dropout}")
+    if async_dropout > 0.0 and async_rng is None:
+        raise ValueError("async_dropout > 0 requires async_rng")
     faulty = fault_injector is not None and not fault_injector.model.is_null()
-    base = bus.stats.as_dict() if bus is not None else None
+    if faulty and async_dropout != 0.0:
+        raise ValueError(
+            "async_dropout is a lossless-path model; use the fault "
+            "model's crash schedule instead"
+        )
     fault_base = fault_injector.stats.as_dict() if faulty else None
     with obs.span("negotiation.window", slots=len(slots), colors=num_colors):
+        win = _Window(
+            network, objective, slots, num_colors, num_samples, rng,
+            initial_energies,
+        )
+        bound = None
+        if not faulty and async_dropout == 0.0:
+            bound = _slot_window(
+                network, objective, win.slots, win.participants, win.sampler,
+                win.views,
+            )
         if faulty:
-            if bus is not None:
-                raise ValueError(
-                    "fault_injector and an explicit bus are mutually "
-                    "exclusive (the faulty path builds its own LossyMessageBus)"
-                )
-            if async_dropout != 0.0:
-                raise ValueError(
-                    "async_dropout is a lossless-path model; use the fault "
-                    "model's crash schedule instead"
-                )
-            result = _negotiate_window_faulty(
-                network,
-                objective,
-                slots,
-                num_colors,
-                rng=rng,
-                num_samples=num_samples,
-                initial_energies=initial_energies,
-                injector=fault_injector,
-            )
+            _negotiate_faulty(win, fault_injector)
+        elif bound is not None:
+            _negotiate_compiled(win, bound)
         else:
-            result = _negotiate_window(
-                network,
-                objective,
-                slots,
-                num_colors,
-                rng=rng,
-                num_samples=num_samples,
-                initial_energies=initial_energies,
-                bus=bus,
-                async_dropout=async_dropout,
-                async_rng=async_rng,
-            )
+            _negotiate_lossless(win, async_dropout, async_rng)
+    result = win.result(fault_injector.stats if faulty else None)
     if obs.enabled():
         obs.inc("negotiation.windows")
         for name, total in result.stats.as_dict().items():
-            obs.inc(f"negotiation.{name}", total - (base[name] if base else 0))
+            obs.inc(f"negotiation.{name}", total)
         obs.inc("negotiation.commits", len(result.table))
         obs.inc("negotiation.proposal_evals", result.proposal_evals)
         obs.inc("negotiation.proposal_cache_hits", result.proposal_cache_hits)
@@ -585,125 +680,49 @@ def negotiate_window(
     return result
 
 
-def _negotiate_window(
-    network: ChargerNetwork,
-    objective: HasteObjective,
-    slots: list[int],
-    num_colors: int,
-    *,
-    rng: np.random.Generator,
-    num_samples: int = 24,
-    initial_energies: np.ndarray | None = None,
-    bus: MessageBus | None = None,
-    async_dropout: float = 0.0,
-    async_rng: np.random.Generator | None = None,
-) -> NegotiationResult:
-    """The uninstrumented protocol body (see :func:`negotiate_window`).
+def _negotiate_compiled(win: _Window, bound: tuple) -> None:
+    """The synchronous lossless protocol in the compiled kernel.
 
-    The synchronous model runs each slot's negotiations in the compiled
-    kernel, one ``negotiate_slot`` call per slot, when the kernel is loaded
-    and every participant is on its path (:func:`_slot_window`).  Otherwise
-    the NumPy loop below runs; it is the reference, and both produce the
-    same table, commit trace, stats and proposal counts.  The call is per
-    slot, not per window, because the kernel holds the interpreter lock
-    while it runs: between slots, other threads (the serve daemon's) get
-    their turn.
+    One ``negotiate_slot`` call per slot runs all its colours with the
+    Python loop's semantics step for step.  The call is per slot, not per
+    window, because the kernel holds the interpreter lock while it runs:
+    between slots, other threads (the serve daemon's) get their turn.
     """
-    if not (0.0 <= async_dropout < 1.0):
-        raise ValueError(f"async_dropout must be in [0, 1), got {async_dropout}")
-    if async_dropout > 0.0 and async_rng is None:
-        raise ValueError("async_dropout > 0 requires async_rng")
-    slots = [int(k) for k in slots]
-    participants, part_keys, by_slot = _window_partitions(network, objective, slots)
-    sampler = ColorSampler(part_keys, num_colors, num_samples, rng)
-    S = sampler.num_samples
-
-    # Per-agent energy views, stacked into one (n, S, m) array so a commit
-    # can be folded into all its receivers' views with a single batched
-    # scatter-add: every receiver gets the same addend at distinct index
-    # triples, bit-identical to folding each inbox separately.  Views stay
-    # per-agent — an agent that already decided a negotiation misses its
-    # later commits, exactly as in the message-passing protocol.
-    if initial_energies is not None:
-        if initial_energies.ndim == 1:
-            initial_energies = initial_energies[None, None, :]
-        else:
-            initial_energies = initial_energies[None, :, :]
-        views = np.broadcast_to(
-            initial_energies, (network.n, S, network.m)
-        ).copy()
-    else:
-        views = objective.zero_energy((network.n, S))
-    bus = bus if bus is not None else MessageBus(list(network.neighbors))
-    bus.reset_inboxes()
-    stats = bus.stats
-    table: dict[tuple[int, int, int], int] = {}
-    commit_rounds: list[int] = []
-    sync = async_dropout == 0.0
-    # Proposal-cache accounting: plain local ints (folded into the obs
-    # registry by the negotiate_window wrapper, never per-round).
-    prop_evals = 0
-    prop_hits = 0
-
-    window = (
-        _slot_window(network, objective, slots, participants, sampler, views)
-        if sync
-        else None
-    )
-    if window is not None:
-        for q, (active, groups) in enumerate(by_slot):
-            if not active:
-                continue
-            messages, broadcasts, rounds, negotiations, evals, hits = (
-                _C.negotiate_slot(window, q, active, groups, table, commit_rounds)
-            )
-            stats.messages += messages
-            stats.broadcasts += broadcasts
-            stats.rounds += rounds
-            stats.negotiations += negotiations
-            prop_evals += evals
-            prop_hits += hits
-        return NegotiationResult(
-            table=table,
-            stats=stats,
-            sampler=sampler,
-            commit_rounds=commit_rounds,
-            proposal_evals=prop_evals,
-            proposal_cache_hits=prop_hits,
+    stats = win.stats
+    for q, (active, groups) in enumerate(win.by_slot):
+        if not active:
+            continue
+        messages, broadcasts, rounds, negotiations, evals, hits = (
+            _C.negotiate_slot(bound, q, active, groups, win.table, win.commit_rounds)
         )
+        stats.messages += messages
+        stats.broadcasts += broadcasts
+        stats.rounds += rounds
+        stats.negotiations += negotiations
+        win.proposal_evals += evals
+        win.proposal_cache_hits += hits
 
-    # Window-level precompute per (color, group): the matching rows as an
-    # index array, as a plain-int list and as a bitmask — every
-    # negotiation touching the group reuses them.
-    all_matches = sampler.matches_by_color()
-    row_lists = [[rows.tolist() for rows in per_color] for per_color in all_matches]
-    row_bits = _row_bitmasks(sampler)
-    agents = {i: ChargerAgent(i, objective, S, views[i]) for i in participants}
-    cols = objective._cols
-    if _C is not None:
-        cols = [np.ascontiguousarray(c, dtype=np.intp) for c in cols]
-    # (charger, slot, policy) → int bitmask of the tasks the commit funds.
-    changed_bits_cache: dict[tuple[int, int, int], int] = {}
-    neighbors = network.neighbors
+
+def _negotiate_lossless(
+    win: _Window, async_dropout: float, async_rng: np.random.Generator | None
+) -> None:
+    """The lossless protocol's round loop in Python (see
+    :func:`negotiate_window`): the compiled kernel's reference, and the
+    body for the asynchronous model, non-linear utilities and hosts
+    without the kernel."""
+    sync = async_dropout == 0.0
+    neighbors = win.network.neighbors
     degree = [len(nbrs) for nbrs in neighbors]
+    stats, table, commit_rounds = win.stats, win.table, win.commit_rounds
+    win.start_agents()
 
-    for k, (active_agents, groups) in zip(slots, by_slot):
+    for k, (active_agents, groups) in zip(win.slots, win.by_slot):
         if not active_agents:
             continue
-        gidx = list(zip(active_agents, groups))
         deg_active = sum(degree[i] for i in active_agents)
-        adds_k = {i: objective.added_energy_cols(i, k) for i in active_agents}
-        for c in range(num_colors):
-            stats.negotiations += 1
-            rows_c, lists_c, bits_c = all_matches[c], row_lists[c], row_bits[c]
-            match = {}
-            match_bits = {}
-            for i, g in gidx:
-                match[i] = rows_c[g]
-                match_bits[i] = bits_c[g]
-                agents[i].reset_negotiation(
-                    k, bits_c[g], rows_c[g], lists_c[g], adds_k[i]
-                )
+        win.start_slot(k, active_agents)
+        for c in range(win.sampler.num_colors):
+            win.start_negotiation(c, active_agents, groups)
             undecided = set(active_agents)
             # Message-count bookkeeping: in the synchronous model every
             # undecided agent broadcasts each round, so the per-round
@@ -742,14 +761,7 @@ def _negotiate_window(
                 # ``|N(s_i)|`` deliveries in the Fig. 16 accounting.
                 proposals: dict[int, tuple[float, int]] = {}
                 for i in order:
-                    agent = agents[i]
-                    prop = agent._proposal
-                    if prop is None:
-                        prop = agent.best_candidate(k, match[i], S)
-                        prop_evals += 1
-                    else:
-                        prop_hits += 1
-                    proposals[i] = prop
+                    prop = proposals[i] = win.propose(i)
                     standing[i] = prop[0] if prop[0] > MIN_GAIN else None
                 stats.broadcasts += len(order)
                 stats.messages += (
@@ -795,7 +807,7 @@ def _negotiate_window(
                         winners.append(i)
 
                 if not winners:
-                    if async_dropout > 0.0:
+                    if not sync:
                         # The current maximum may be asleep, or a stale
                         # higher advertisement blocks everyone awake; both
                         # resolve once the blocker wakes up.
@@ -808,8 +820,7 @@ def _negotiate_window(
                     )
 
                 for i in winners:
-                    policy = proposals[i][1]
-                    table[(i, k, c)] = policy
+                    table[(i, k, c)] = proposals[i][1]
                     commit_rounds.append(negotiation_round)
                     standing[i] = None
                 stats.broadcasts += len(winners)
@@ -822,61 +833,19 @@ def _negotiate_window(
                 # the committed policy into its view, the winner folds its
                 # own.  Winners are in ascending ID order, so each receiver
                 # folds commits in the same order its inbox would have
-                # delivered them; the stacked views make each commit one
-                # batched scatter-add over all receivers.  Undecided
-                # neighbors then refresh their caches against the touched
-                # (rows × tasks) block.
+                # delivered them.  Undecided neighbors then refresh their
+                # caches against the touched (rows × tasks) block.
                 for w in winners:
-                    policy = table[(w, k, c)]
-                    rows_w = match[w]
+                    policy = proposals[w][1]
                     receivers = [i for i in neighbors[w] if i in undecided]
-                    receivers.append(w)
-                    vals = adds_k[w][policy]
-                    if _C is not None:
-                        _C.fold(views, receivers, rows_w, cols[w], vals)
-                    else:
-                        recv = np.asarray(receivers, dtype=np.intp)
-                        views[
-                            recv[:, None, None],
-                            rows_w[None, :, None],
-                            cols[w][None, None, :],
-                        ] += vals
-                    key = (w, k, policy)
-                    cb = changed_bits_cache.get(key)
-                    if cb is None:
-                        cb = 0
-                        for t in objective.changed_tasks(w, k, policy):
-                            cb |= 1 << int(t)
-                        changed_bits_cache[key] = cb
-                    wb = match_bits[w]
-                    for i in neighbors[w]:
-                        if i in undecided:
-                            agents[i].note_commit(wb, cb)
-
-    return NegotiationResult(
-        table=table,
-        stats=bus.stats,
-        sampler=sampler,
-        commit_rounds=commit_rounds,
-        proposal_evals=prop_evals,
-        proposal_cache_hits=prop_hits,
-    )
+                    win.fold(receivers + [w], w, policy)
+                    win.note_commit(receivers, w, policy)
 
 
-def _negotiate_window_faulty(
-    network: ChargerNetwork,
-    objective: HasteObjective,
-    slots: list[int],
-    num_colors: int,
-    *,
-    rng: np.random.Generator,
-    num_samples: int = 24,
-    initial_energies: np.ndarray | None = None,
-    injector,
-) -> NegotiationResult:
+def _negotiate_faulty(win: _Window, injector) -> None:
     """Algorithm 3 hardened for lossy radios and crashing chargers.
 
-    Unlike :func:`_negotiate_window` — where a single shared table of
+    Unlike the lossless protocol — where a single shared table of
     standing advertisements reproduces every inbox exactly because
     delivery is guaranteed — this variant materializes each agent's
     knowledge from the messages it actually received through a
@@ -902,71 +871,29 @@ def _negotiate_window_faulty(
       stale blockers expire, and ``model.max_rounds`` caps every
       negotiation outright (an abort keeps whatever committed so far).
 
-    The negotiation ``rng`` is consumed exactly as on the lossless path
-    (the color sampler only); every fault decision comes from the
-    injector's own seeded stream, which also makes whole runs replayable
-    bit for bit from a recorded :class:`~repro.faults.model.FaultTrace`.
+    Commits are pipelined one delivery round behind the lossless
+    protocol's, so even under a zero-fault injector this is a different
+    protocol, not the lossless one with a bus.  Every fault decision
+    comes from the injector's own seeded stream, which also makes whole
+    runs replayable bit for bit from a recorded
+    :class:`~repro.faults.model.FaultTrace`.
     """
     model = injector.model
-    slots = [int(k) for k in slots]
-    participants, part_keys, by_slot = _window_partitions(network, objective, slots)
-    sampler = ColorSampler(part_keys, num_colors, num_samples, rng)
-    S = sampler.num_samples
-    all_matches = sampler.matches_by_color()
-    row_lists = [
-        [[int(r) for r in rows] for rows in per_color]
-        for per_color in all_matches
-    ]
-    row_bits = [
-        [sum(1 << r for r in rl) for rl in per_color]
-        for per_color in row_lists
-    ]
-
-    if initial_energies is not None:
-        if initial_energies.ndim == 1:
-            initial_energies = initial_energies[None, None, :]
-        else:
-            initial_energies = initial_energies[None, :, :]
-        views = np.broadcast_to(
-            initial_energies, (network.n, S, network.m)
-        ).copy()
-    else:
-        views = objective.zero_energy((network.n, S))
-    agents = {i: ChargerAgent(i, objective, S, views[i]) for i in participants}
-    cols = objective._cols
-    changed_bits_cache: dict[tuple[int, int, int], int] = {}
-    bus = LossyMessageBus(list(network.neighbors), injector)
-    stats = bus.stats
+    neighbors = win.network.neighbors
+    bus = LossyMessageBus(list(neighbors), injector)
+    bus.stats = win.stats
     fs = injector.stats
-    neighbors = network.neighbors
+    table, commit_rounds = win.table, win.commit_rounds
+    win.start_agents()
 
-    table: dict[tuple[int, int, int], int] = {}
-    commit_rounds: list[int] = []
-    prop_evals = 0
-    prop_hits = 0
-
-    def fold(receiver: int, w: int, policy: int, rows_w, adds_k) -> None:
-        """Apply ``w``'s committed energy to one receiver's view."""
-        views[receiver][rows_w[:, None], cols[w][None, :]] += adds_k[w][policy]
-
-    for k, (active_agents, groups) in zip(slots, by_slot):
+    for k, (active_agents, groups) in zip(win.slots, win.by_slot):
         if not active_agents:
             continue
         active_set = set(active_agents)
-        gidx = list(zip(active_agents, groups))
-        adds_k = {i: objective.added_energy_cols(i, k) for i in active_agents}
-        for c in range(num_colors):
-            stats.negotiations += 1
+        win.start_slot(k, active_agents)
+        for c in range(win.sampler.num_colors):
+            win.start_negotiation(c, active_agents, groups)
             bus.reset_inboxes()
-            rows_c, lists_c, bits_c = all_matches[c], row_lists[c], row_bits[c]
-            match = {}
-            match_bits = {}
-            for i, g in gidx:
-                match[i] = rows_c[g]
-                match_bits[i] = bits_c[g]
-                agents[i].reset_negotiation(
-                    k, bits_c[g], rows_c[g], lists_c[g], adds_k[i]
-                )
             undecided = set(active_agents)
             #: per-receiver knowledge: i -> {j: (gain, policy, stamp)}.
             known: dict[int, dict[int, tuple[float, int, int]]] = {
@@ -1018,17 +945,8 @@ def _negotiate_window_faulty(
                             if (i, j) in folded:
                                 continue  # duplicate UPD — fold once
                             folded.add((i, j))
-                            fold(i, j, msg.policy, match[j], adds_k)
-                            key = (j, k, msg.policy)
-                            cb = changed_bits_cache.get(key)
-                            if cb is None:
-                                cb = 0
-                                for t in objective.changed_tasks(
-                                    j, k, msg.policy
-                                ):
-                                    cb |= 1 << int(t)
-                                changed_bits_cache[key] = cb
-                            agents[i].note_commit(match_bits[j], cb)
+                            win.fold([i], j, msg.policy)
+                            win.note_commit([i], j, msg.policy)
                         else:  # CMD_ACK — i committed earlier, j confirms
                             acked = pending.get(i)
                             if acked is not None:
@@ -1061,14 +979,7 @@ def _negotiate_window_faulty(
                         awake.append(i)
                 proposals: dict[int, tuple[float, int]] = {}
                 for i in awake:
-                    agent = agents[i]
-                    prop = agent._proposal
-                    if prop is None:
-                        prop = agent.best_candidate(k, match[i], S)
-                        prop_evals += 1
-                    else:
-                        prop_hits += 1
-                    proposals[i] = prop
+                    prop = proposals[i] = win.propose(i)
                     gain = prop[0] if prop[0] > MIN_GAIN else 0.0
                     bus.broadcast(Message(i, k, c, CMD_NULL, gain, prop[1], rnd))
                 for i in awake:
@@ -1106,7 +1017,7 @@ def _negotiate_window_faulty(
                     commit_rounds.append(rnd)
                     undecided.discard(i)
                     folded.add((i, i))
-                    fold(i, i, policy, match[i], adds_k)
+                    win.fold([i], i, policy)
                     upd = Message(i, k, c, CMD_UPDATE, gain_i, policy, rnd)
                     bus.broadcast(upd)
                     targets = {j for j in neighbors[i] if j in active_set}
@@ -1119,13 +1030,3 @@ def _negotiate_window_faulty(
             # that is the graceful part of the degradation — count them.
             for w, missing in pending.items():
                 fs.giveups += len(missing)
-
-    return NegotiationResult(
-        table=table,
-        stats=bus.stats,
-        sampler=sampler,
-        commit_rounds=commit_rounds,
-        proposal_evals=prop_evals,
-        proposal_cache_hits=prop_hits,
-        fault_stats=fs,
-    )

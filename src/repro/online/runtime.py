@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..core.network import IDLE_POLICY, ChargerNetwork
+from ..core.network import ChargerNetwork
 from ..core.policy import Schedule
 from ..faults.bus import FaultStats
 from ..faults.model import FaultModel
@@ -38,6 +38,7 @@ from ..offline.batched import (
     greedy_cover_schedule_batch,
     greedy_utility_schedule_batch,
 )
+from ..offline.centralized import best_of_draws
 from ..offline.smoothing import smooth_switches
 from ..sim.engine import ExecutionResult, execute_schedule
 from .distributed import negotiate_window
@@ -189,21 +190,14 @@ def run_online_haste(
 
                 # Sample final colors; keep the best of ``final_draws``
                 # vectors under the known-task objective.
-                draws = final_draws if num_colors > 1 else 1
                 chargers, part_slots, policies = result.partition_policies()
-                parts = np.arange(len(chargers))
                 with obs.span("online.draw_and_smooth"):
-                    sels = np.repeat(committed.sel[None], draws, axis=0)
-                    sels[:, :, boundary:] = IDLE_POLICY
-                    for sel in sels:
-                        # One batched draw per vector: the generator yields
-                        # the values, and ends in the state, of one scalar
-                        # draw per partition in sorted order.
-                        colors = rng.integers(0, num_colors, size=len(parts))
-                        sel[chargers, part_slots] = policies[parts, colors]
-                    values = objective.values_of_selections(sels)
-                    best_sched = committed.copy()
-                    best_sched.sel[:] = sels[int(np.argmax(values))]
+                    base = committed.copy()
+                    base.clear_from(boundary)
+                    best_sched, _ = best_of_draws(
+                        objective, base, chargers, part_slots, policies,
+                        final_draws, rng,
+                    )
                     # Delay-aware switch smoothing of the freshly planned
                     # future, seeing only the already-released tasks (no
                     # clairvoyance).

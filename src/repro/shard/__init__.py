@@ -7,8 +7,8 @@ exploits that: :mod:`~repro.shard.tiles` partitions the field into a grid
 of tiles with a ``≥ D`` halo, :mod:`~repro.shard.subproblem` slices the
 instance per tile, :mod:`~repro.shard.solver` solves tiles independently
 (pool-parallel) and :mod:`~repro.shard.reconcile` re-negotiates the exact
-boundary set with the distributed protocol over the fault-layer bus, in
-stages of provably task-disjoint (hence pool-parallel) interface groups.
+boundary set with the lossless distributed protocol, in stages of
+provably task-disjoint (hence pool-parallel) interface groups.
 :mod:`~repro.shard.execute` merges the per-charger schedules into global
 accounting without ever materializing the global ``(n, m)`` network.
 

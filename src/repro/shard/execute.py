@@ -9,9 +9,10 @@ column-compressed policy data — orientations, receivable task columns
 is exactly the per-charger slice the engine's inner loop reads, so this
 module replays the same physics charger by charger:
 
-* switch detection and the ``(1 − ρ)`` first-slot fraction follow the
-  engine bit for bit (idle keeps the previous orientation; the first
-  non-idle slot always pays the delay),
+* switch detection is the engine's own rule,
+  :func:`~repro.sim.engine.switch_scan` (idle keeps the previous
+  orientation; the first non-idle slot always pays the delay), and the
+  ``(1 − ρ)`` first-slot fraction follows the engine bit for bit,
 * delivery accumulates into one global ``(m,)`` energy vector through the
   ``|T_i|``-sized columns — ``O(Σ|T_i|·K)`` instead of ``O(n·m·K)``,
 * the relaxed (ρ = 0) energies are accumulated in the same pass instead of
@@ -30,7 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.network import IDLE_POLICY, ChargerNetwork
+from ..core.network import ChargerNetwork
+from ..sim.engine import switch_scan
 
 __all__ = ["ChargerPlan", "MergedExecution", "charger_plans_from_network", "execute_merged"]
 
@@ -135,14 +137,10 @@ def execute_merged(
         if plan.cols.size == 0:
             continue
         act_cols = active[plan.cols]  # (|T|, K)
-        current = np.nan
-        for k in np.flatnonzero(plan.sel != IDLE_POLICY):
-            k = int(k)
+        slots, _, switches = switch_scan(plan.orientations, plan.sel)
+        switch_count += int(switches.sum())
+        for k, switched in zip(slots.tolist(), switches.tolist()):
             p = int(plan.sel[k])
-            target = plan.orientations[p]
-            switched = np.isnan(current) or abs(target - current) > 1e-12
-            current = target
-            switch_count += int(switched)
             mask = plan.cover[p] & act_cols[:, k]
             if not mask.any():
                 continue

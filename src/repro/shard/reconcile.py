@@ -27,10 +27,14 @@ sharded offline solve therefore finishes with a reconciliation pass:
   tile solves; stages run in sequence, each seeing the previous stages'
   energies as banked competition.  The critical path of the pass is
   ``Σ_stages max(group time)``, not the sum of all group times.
-* inter-shard traffic flows through a
-  :class:`~repro.faults.bus.LossyMessageBus` (the PR-4 fault-layer
-  transport) driven by a null fault model, so the message accounting is
-  the fault layer's and a lossy/chaos variant is one parameter away.
+* each group runs the lossless protocol, so its message accounting is
+  the Fig. 16 count of deliveries through the protocol's table of
+  standing advertisements; only the online runtime's fault-tolerant
+  protocol sends through a :class:`~repro.faults.bus.LossyMessageBus`.
+* each group finishes like the other HASTE solvers, with the best of
+  ``final_draws`` colour draws
+  (:func:`~repro.offline.centralized.best_of_draws`), scored with the
+  banked energy added.
 
 Every group net contains its chargers' complete receivable sets, so —
 like the tile nets — its policy indices are the global ones and its
@@ -45,9 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.policy import Schedule
-from ..faults.bus import LossyMessageBus
-from ..faults.model import FaultModel
 from ..objective.haste import HasteObjective
+from ..offline.centralized import best_of_draws
 from ..online.distributed import negotiate_window
 from ..sim.parallel import parallel_starmap
 from .execute import ChargerPlan, charger_plans_from_network
@@ -204,7 +207,6 @@ def _reconcile_group_worker(
     rng = np.random.default_rng(seed_seq)
     num_colors = wopts["colors"]
 
-    bus = LossyMessageBus(list(net.neighbors), FaultModel().injector(net.n))
     result = negotiate_window(
         net,
         objective,
@@ -213,27 +215,13 @@ def _reconcile_group_worker(
         rng=rng,
         num_samples=wopts["samples"],
         initial_energies=banked,
-        bus=bus,
     )
 
     chargers, part_slots, policies = result.partition_policies()
-    parts = np.arange(len(chargers))
-    draws = wopts["final_draws"] if num_colors > 1 else 1
-    best_sched: Schedule | None = None
-    best_value = -np.inf
-    for _ in range(draws):
-        candidate = Schedule(net)
-        # Same generator values and end state as one scalar draw per
-        # partition in sorted order.
-        colors = rng.integers(0, num_colors, size=len(parts))
-        candidate.sel[chargers, part_slots] = policies[parts, colors]
-        value = float(
-            objective.value(banked + objective.energies_of_schedule(candidate))
-        )
-        if value > best_value:
-            best_sched, best_value = candidate, value
-    if best_sched is None:
-        best_sched = Schedule(net)
+    best_sched, _ = best_of_draws(
+        objective, Schedule(net), chargers, part_slots, policies,
+        wopts["final_draws"], rng, banked,
+    )
 
     return {
         "plans": charger_plans_from_network(

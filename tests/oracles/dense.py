@@ -17,12 +17,15 @@ What the two agree on:
 
 It implements the surface :class:`~repro.offline.centralized.
 CentralizedScheduler` drives, so ``CentralizedScheduler(net,
-objective=DenseObjective(net))`` runs Algorithm 2 on the dense kernels.
+objective=DenseObjective(net))`` runs Algorithm 2 on the dense kernels;
+its final draws are scored one at a time, by ``value_of_schedule``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.core.policy import Schedule
 
 
 class DenseObjective:
@@ -72,3 +75,12 @@ class DenseObjective:
 
     def value_of_schedule(self, schedule) -> float:
         return float(self.value(self.energies_of_schedule(schedule)))
+
+    def values_of_selections(self, sels, banked=None) -> list[float]:
+        """:meth:`value_of_schedule` of each ``(n, K)`` selection in turn
+        (the offline sweep, the one caller, banks no energy)."""
+        assert banked is None
+        return [
+            self.value_of_schedule(Schedule.from_matrix(self.network, sel))
+            for sel in sels
+        ]

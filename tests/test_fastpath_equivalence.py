@@ -602,10 +602,9 @@ class TestCKernelProtocolEquivalence:
         assert opt.events == ref.events
 
     def test_lossy_bus_window_identical_without_c(self, monkeypatch):
-        """An explicit null-fault lossy bus, as shard reconcile passes it:
-        the counts land on the caller's bus."""
-        from repro.faults import FaultModel
-        from repro.faults.bus import LossyMessageBus
+        """A default-scale window over banked energies, as shard reconcile
+        negotiates one (with the lossless protocol, which sends nothing
+        through a bus)."""
         from repro.online import distributed
         from repro.online.distributed import negotiate_window
 
@@ -613,13 +612,10 @@ class TestCKernelProtocolEquivalence:
         banked = np.random.default_rng(19).uniform(0.0, 2000.0, net.m)
 
         def window():
-            bus = LossyMessageBus(list(net.neighbors), FaultModel().injector(net.n))
-            res = negotiate_window(
+            return negotiate_window(
                 net, HasteObjective(net), list(range(20, 40)), 4,
-                rng=np.random.default_rng(19), initial_energies=banked, bus=bus,
+                rng=np.random.default_rng(19), initial_energies=banked,
             )
-            assert res.stats is bus.stats
-            return res
 
         spy = _SlotKernelSpy(distributed._C)
         monkeypatch.setattr(distributed, "_C", spy)
@@ -627,6 +623,40 @@ class TestCKernelProtocolEquivalence:
         assert spy.slot_calls > 0 and opt.table
         monkeypatch.setattr(distributed, "_C", None)
         _assert_windows_match(opt, window())
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fault_injected_window_identical_without_c(self, seed, monkeypatch):
+        """The fault-tolerant loop under an active fault model, over banked
+        energies at the default scale: with the kernel (``fill``/``finish``
+        proposals, compiled folds) and without it, the same commits in the
+        same order and rounds, and the same message, fault and proposal
+        counts.  Each side gets a fresh injector."""
+        from repro.faults import FaultModel
+        from repro.online import distributed
+        from repro.online.distributed import negotiate_window
+
+        net = make_net(seed, SimulationConfig())
+        banked = np.random.default_rng(seed).uniform(0.0, 2000.0, net.m)
+        model = FaultModel(loss=0.2, duplicate=0.05, delay=0.1, seed=seed)
+
+        def window():
+            return negotiate_window(
+                net, HasteObjective(net), list(range(10, 40)), 4,
+                rng=np.random.default_rng(seed), initial_energies=banked,
+                fault_injector=model.injector(net.n),
+            )
+
+        monkeypatch.setattr(
+            distributed, "_C", _SlotKernelSpy(distributed._C, allow=False)
+        )
+        opt = window()
+        assert opt.table and opt.fault_stats.drops > 0
+        monkeypatch.setattr(distributed, "_C", None)
+        ref = window()
+        _assert_windows_match(opt, ref)
+        assert list(opt.table.items()) == list(ref.table.items())
+        assert opt.commit_rounds == ref.commit_rounds
+        assert opt.fault_stats == ref.fault_stats
 
     @pytest.mark.parametrize("route", ["async", "log-utility"])
     def test_python_loop_routes_identical_without_c(self, route, monkeypatch):

@@ -40,8 +40,12 @@ class TestSchedulerBasics:
             schedule_offline(small_network, 0)
 
     def test_invalid_final_draws(self, small_network):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
         with pytest.raises(ValueError):
-            CentralizedScheduler(small_network).run(2, final_draws=0)
+            CentralizedScheduler(small_network).run(2, final_draws=0, rng=rng)
+        # Rejected before the colour sweep draws from the caller's rng.
+        assert rng.bit_generator.state == state
 
     def test_unknown_group_order_rejected(self, small_network):
         sched = CentralizedScheduler(small_network)

@@ -186,40 +186,35 @@ class TestNegotiateWindow:
 
 class TestNegotiateWindowObsDeltas:
     """``negotiate_window`` folds only *its own* contribution into the obs
-    registry: with a pre-populated shared bus, the folded counters are the
-    window's deltas, not the bus's running totals."""
+    registry: on counters an earlier window already populated, each window
+    adds exactly its own result's stats."""
 
     def _net(self, seed=0):
         return build_network(seed, n=4, m=10, horizon=5)
 
     def test_deltas_not_totals_with_prepopulated_bus(self):
         from repro import obs
-        from repro.online import MessageBus
 
         net = self._net(6)
         obj = HasteObjective(net)
-        bus = MessageBus(list(net.neighbors))
-        # Pre-populate: traffic from "an earlier window" on the same bus.
-        sender = max(range(net.n), key=lambda i: len(net.neighbors[i]))
-        for _ in range(3):
-            bus.broadcast(Message(sender, 0, 0, CMD_NULL, 1.0, 1))
-            bus.advance_round()
-        base = bus.stats.as_dict()
-        assert base["rounds"] == 3
 
         obs.configure()
         try:
-            negotiate_window(
-                net, obj, list(range(net.num_slots)), 1,
-                rng=np.random.default_rng(0), bus=bus,
-            )
+            results = [
+                negotiate_window(
+                    net, obj, list(range(net.num_slots)), 2,
+                    rng=np.random.default_rng(seed),
+                )
+                for seed in (0, 1)
+            ]
             snap = obs.get_registry().snapshot()["counters"]
         finally:
             obs.shutdown()
             obs.get_registry().reset()
-        final = bus.stats.as_dict()
         for name in ("messages", "broadcasts", "rounds", "negotiations"):
-            assert snap[f"negotiation.{name}"] == final[name] - base[name]
+            own = [res.stats.as_dict()[name] for res in results]
+            assert min(own) > 0
+            assert snap[f"negotiation.{name}"] == sum(own)
 
     def test_fault_deltas_sum_to_injector_totals(self):
         """Two faulty windows sharing one injector: the obs ``faults.*``

@@ -330,7 +330,8 @@ class TestShardedConsistency:
         meta = art.meta["shard"]
         assert meta["boundary_chargers"] + meta["interior_chargers"] == inst.n
         if meta["boundary_chargers"]:
-            # Boundary negotiation rides the fault-layer bus → message stats.
+            # Boundary negotiation runs the lossless protocol, which counts
+            # each broadcast's deliveries → message stats.
             assert art.message_stats is not None
             assert art.message_stats.get("messages", 0) > 0
 
